@@ -11,18 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from ecgfusion.analysis import export_history
-from ecgfusion.data import RecordMeta, SplitSpec, prepare_records, split, synth_dataset
+from ecgfusion.data import SplitSpec, prepare_records, split, synth_dataset
 from ecgfusion.model import EcgTransformer, ModelConfig, load_checkpoint, save_checkpoint
 from ecgfusion.training import TrainConfig, evaluate, fit_with_early_stop
 
 ds = synth_dataset(n_per_class=20, seed=5)
 records = prepare_records(ds)  # truncate + denoise + standardize, in memory
-meta = [RecordMeta(record_id=r.record_id, labels=r.labels) for r in records]
-by_id = {r.record_id: r for r in records}
-parts = [
-    [by_id[m.record_id] for m in p]
-    for p in split(meta, SplitSpec(0.7, 0.15, 0.15, seed=5))
-]
+parts = split(records, SplitSpec(0.7, 0.15, 0.15, seed=5))
 print(f"records: train {len(parts[0])}, val {len(parts[1])}, test {len(parts[2])}")
 
 config = ModelConfig(

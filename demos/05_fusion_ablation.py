@@ -11,18 +11,13 @@ a deliberately tight budget, the fusion modes should pull ahead.
 
 import time
 
-from ecgfusion.data import RecordMeta, SplitSpec, prepare_records, split, synth_dataset
+from ecgfusion.data import SplitSpec, prepare_records, split, synth_dataset
 from ecgfusion.model import FUSION_MODES, EcgTransformer, ModelConfig
 from ecgfusion.training import TrainConfig, evaluate, fit_with_early_stop
 
 ds = synth_dataset(n_per_class=60, seed=12, notes_informative=True)
 records = prepare_records(ds)
-meta = [RecordMeta(record_id=r.record_id, labels=r.labels) for r in records]
-by_id = {r.record_id: r for r in records}
-parts = [
-    [by_id[m.record_id] for m in p]
-    for p in split(meta, SplitSpec(0.7, 0.15, 0.15, seed=12))
-]
+parts = split(records, SplitSpec(0.7, 0.15, 0.15, seed=12))
 budget = TrainConfig(learning_rate=0.0005, batch_size=4, max_epochs=3, early_stop_patience=3, seed=12)
 print(f"{len(parts[0])} train / {len(parts[1])} val / {len(parts[2])} test, 3 epochs per mode\n")
 

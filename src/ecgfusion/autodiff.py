@@ -26,10 +26,7 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
-    "scale",
     "sum_all",
-    "mean_all",
     "matmul",
     "transpose",
     "reshape",
@@ -199,29 +196,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, requires_grad=a.requires_grad)
-    _record(out, (a,), lambda g: (-g,))
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c, requires_grad=a.requires_grad)
-    _record(out, (a,), lambda g: (g * c,))
-    return out
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), requires_grad=a.requires_grad)
     _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
-    return out
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(a.data.mean(), requires_grad=a.requires_grad)
-    _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
     return out
 
 

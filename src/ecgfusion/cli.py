@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,81 +23,36 @@ from ecgfusion.model import (
     EcgTransformer,
     FUSION_MODES,
     ModelConfig,
+    coerce,
     load_checkpoint,
     save_checkpoint,
 )
 
-# key -> (type tag, default); the single source of truth for RunConfig
-CONFIG_SCHEMA = {
-    "seq_len": ("int", 250),
-    "n_leads": ("int", 12),
-    "d_model": ("int", 120),
-    "n_heads": ("int", 12),
-    "n_encoder_layers": ("int", 6),
-    "n_decoder_layers": ("int", 6),
-    "dropout": ("float", 0.2),
-    "notes_dim": ("int", 768),
-    "n_classes": ("int", 5),
-    "fusion_mode": ("str", "cross_attention"),
-    "per_lead_encoders": ("bool", False),
-    "feedforward_dim": ("int", 480),
-    "learning_rate": ("float", 0.0001),
-    "batch_size": ("int", 4),
-    "max_epochs": ("int", 40),
-    "early_stop_patience": ("int", 5),
-    "adam_beta1": ("float", 0.9),
-    "adam_beta2": ("float", 0.999),
-    "adam_eps": ("float", 1e-8),
-    "seed": ("int", 0),
-    "per_class_cap": ("int", 2500),
-    "train_fraction": ("float", 0.8),
-    "val_fraction": ("float", 0.1),
-    "test_fraction": ("float", 0.1),
-    "manifest": ("str", ""),
-    "embeddings": ("str", ""),
-    "out_dir": ("str", "runs"),
+
+@dataclass
+class IoConfig:
+    """The CLI's own keys: where records come from and where output goes."""
+
+    manifest: str = ""
+    embeddings: str = ""
+    out_dir: str = "runs"
+    per_class_cap: int = 2500
+
+
+# the file formats fix these (12x250 waveforms, 768-dim notes, 5 classes),
+# so they are library settings, not run settings
+SHAPE_KEYS = ("seq_len", "n_leads", "notes_dim", "n_classes")
+
+# key -> dataclass field; the fields own every default and type
+SCHEMA = {
+    f.name: f
+    for section in (ModelConfig, training.TrainConfig, data.SplitSpec, IoConfig)
+    for f in fields(section)
+    if f.name not in SHAPE_KEYS
 }
 
-MODEL_KEYS = (
-    "seq_len",
-    "n_leads",
-    "d_model",
-    "n_heads",
-    "n_encoder_layers",
-    "n_decoder_layers",
-    "dropout",
-    "notes_dim",
-    "n_classes",
-    "fusion_mode",
-    "per_lead_encoders",
-    "feedforward_dim",
-)
-TRAIN_KEYS = (
-    "learning_rate",
-    "batch_size",
-    "max_epochs",
-    "early_stop_patience",
-    "seed",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_eps",
-)
-
-
-def _coerce(key: str, raw: str):
-    kind, _ = CONFIG_SCHEMA[key]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        low = str(raw).strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    return raw
+# what a checkpoint records so evaluate can rebuild the run's split
+CHECKPOINT_EXTRAS = ("seed", "train_fraction", "val_fraction", "test_fraction", "manifest", "embeddings")
 
 
 def parse_config_file(path) -> dict:
@@ -112,53 +67,28 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in CONFIG_SCHEMA:
+        if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            out[key] = _coerce(key, value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        out[key] = coerce(SCHEMA[key], value, ConfigError, f"{path}:{lineno}: ")
     return out
 
 
-@dataclass
-class RunConfig:
-    values: dict
-
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{k: self.values[k] for k in MODEL_KEYS})
-
-    def train_config(self) -> training.TrainConfig:
-        return training.TrainConfig(**{k: self.values[k] for k in TRAIN_KEYS})
-
-    def split_spec(self) -> data.SplitSpec:
-        return data.SplitSpec(
-            train_fraction=self.values["train_fraction"],
-            val_fraction=self.values["val_fraction"],
-            test_fraction=self.values["test_fraction"],
-            seed=self.values["seed"],
-        )
+def _defaults() -> dict:
+    return {key: f.default for key, f in SCHEMA.items()}
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    values = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for key in CONFIG_SCHEMA:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        values["out_dir"] = args.out
-    return RunConfig(values)
+def build_run_config(args: argparse.Namespace) -> dict:
+    """Schema defaults, then the --config file, then the flags."""
+    run = _defaults()
+    if args.config:
+        run.update(parse_config_file(args.config))
+    run.update((key, value) for key, value in vars(args).items() if key in SCHEMA and value is not None)
+    return run
+
+
+def _section(cls, run: dict, **overrides):
+    """One config dataclass built from the run's values."""
+    return cls(**{**{f.name: run[f.name] for f in fields(cls) if f.name in run}, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +104,11 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _load_dataset(run: RunConfig, need_embeddings: bool):
-    manifest = _require_file(run.manifest, "manifest")
+def _load_dataset(run: dict, need_embeddings: bool):
+    manifest = _require_file(run["manifest"], "manifest")
     embeddings = None
     if need_embeddings:
-        emb_path = _require_file(run.embeddings, "embeddings file")
+        emb_path = _require_file(run["embeddings"], "embeddings file")
         embeddings = data.load_embeddings(emb_path)
     return data.load_clean_records(manifest, embeddings)
 
@@ -242,8 +172,8 @@ def _record_for_inference(args, config: ModelConfig) -> data.LoadedRecord:
 
 def cmd_preprocess(args) -> int:
     run = build_run_config(args)
-    manifest_path = _require_file(args.manifest or run.manifest, "manifest")
-    out_dir = Path(args.out or run.out_dir)
+    manifest_path = _require_file(run["manifest"], "manifest")
+    out_dir = Path(run["out_dir"])
     records = data.read_manifest(manifest_path)
 
     # validate every referenced waveform before writing anything
@@ -257,7 +187,7 @@ def cmd_preprocess(args) -> int:
     kept = data.drop_blank_reports(records)
     if not kept:
         raise DataError("no records with a nonempty report")
-    kept = data.balance_undersample(kept, args.cap, run.seed)
+    kept = data.balance_undersample(kept, run["per_class_cap"], run["seed"])
 
     wave_dir = out_dir / "clean"
     wave_dir.mkdir(parents=True, exist_ok=True)
@@ -274,45 +204,33 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _print_train_banner(run: RunConfig) -> None:
+def _print_train_banner(run: dict) -> None:
     print(
         "config: lr={learning_rate} batch={batch_size} d_model={d_model} "
         "heads={n_heads} enc_layers={n_encoder_layers} dec_layers={n_decoder_layers} "
-        "dropout={dropout} fusion={fusion_mode} seed={seed}".format(**run.values)
+        "dropout={dropout} fusion={fusion_mode} seed={seed}".format(**run)
     )
 
 
 def cmd_train(args) -> int:
     run = build_run_config(args)
-    model_cfg = run.model_config()
-    train_cfg = run.train_config()
+    model_cfg = _section(ModelConfig, run)
+    train_cfg = _section(training.TrainConfig, run)
     _print_train_banner(run)
 
     records = _load_dataset(run, need_embeddings=model_cfg.fusion_mode != "waveform_only")
-    split_spec = run.split_spec()
-    meta = [data.RecordMeta(record_id=r.record_id, labels=r.labels) for r in records]
-    by_id = {r.record_id: r for r in records}
-    train_meta, val_meta, _ = data.split(meta, split_spec)
-    train_split = [by_id[m.record_id] for m in train_meta]
-    val_split = [by_id[m.record_id] for m in val_meta]
+    train_split, val_split, _ = data.split(records, _section(data.SplitSpec, run))
 
-    out_dir = Path(run.out_dir)
+    out_dir = Path(run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    model = EcgTransformer(model_cfg, seed=run.seed)
+    model = EcgTransformer(model_cfg, seed=run["seed"])
     best_params, history, best_epoch = training.fit_with_early_stop(
         model, train_split, val_split, train_cfg
     )
     model.params = best_params
 
-    extra = {
-        "seed": run.seed,
-        "train_fraction": run.train_fraction,
-        "val_fraction": run.val_fraction,
-        "test_fraction": run.test_fraction,
-        "manifest": str(run.manifest),
-        "embeddings": str(run.embeddings),
-    }
+    extra = {key: run[key] for key in CHECKPOINT_EXTRAS}
     save_checkpoint(out_dir / "checkpoint.bin", model_cfg, best_params, extra)
     training.write_history(out_dir / "history.csv", history)
     best = history[best_epoch - 1]
@@ -328,33 +246,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_eval_inputs(args, extra: dict):
-    manifest = getattr(args, "manifest", None) or extra.get("manifest", "")
-    embeddings = getattr(args, "embeddings", None) or extra.get("embeddings", "")
-    seed = int(extra.get("seed", 0))
-    spec = data.SplitSpec(
-        train_fraction=float(extra.get("train_fraction", 0.8)),
-        val_fraction=float(extra.get("val_fraction", 0.1)),
-        test_fraction=float(extra.get("test_fraction", 0.1)),
-        seed=seed,
-    )
-    return manifest, embeddings, spec
-
-
 def cmd_evaluate(args) -> int:
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     config, params, extra = load_checkpoint(ckpt_path)
-    manifest, embeddings, spec = _resolve_eval_inputs(args, extra)
-    manifest = _require_file(manifest, "manifest")
-    table = None
-    if config.fusion_mode != "waveform_only":
-        table = data.load_embeddings(_require_file(embeddings, "embeddings file"))
-    records = data.load_clean_records(manifest, table)
+    # the run the checkpoint recorded, over the schema defaults
+    run = _defaults()
+    for key in CHECKPOINT_EXTRAS:
+        if key in extra:
+            run[key] = coerce(SCHEMA[key], extra[key], DataError, f"{ckpt_path}: extra.")
+    run["manifest"] = args.manifest or run["manifest"]
+    run["embeddings"] = args.embeddings or run["embeddings"]
+    try:
+        spec = _section(data.SplitSpec, run)
+    except ConfigError as exc:
+        raise DataError(f"{ckpt_path}: {exc}") from None
+    records = _load_dataset(run, need_embeddings=config.fusion_mode != "waveform_only")
 
-    meta = [data.RecordMeta(record_id=r.record_id, labels=r.labels) for r in records]
-    by_id = {r.record_id: r for r in records}
-    splits = dict(zip(("train", "val", "test"), data.split(meta, spec)))
-    chosen = [by_id[m.record_id] for m in splits[args.split]]
+    splits = dict(zip(("train", "val", "test"), data.split(records, spec)))
+    chosen = splits[args.split]
 
     model = EcgTransformer(config, params=params)
     loss, acc, probs = training.evaluate(model, chosen)
@@ -362,8 +271,8 @@ def cmd_evaluate(args) -> int:
     print("per-class counts:")
     _print_class_counts(chosen)
 
-    if args.out:
-        out_dir = Path(args.out)
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / f"probabilities_{args.split}.csv"
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -402,11 +311,7 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"unknown fusion mode {mode!r}; options: {FUSION_MODES}")
 
     records = _load_dataset(run, need_embeddings=True)
-    spec = run.split_spec()
-    meta = [data.RecordMeta(record_id=r.record_id, labels=r.labels) for r in records]
-    by_id = {r.record_id: r for r in records}
-    split_meta = data.split(meta, spec)
-    splits = [[by_id[m.record_id] for m in part] for part in split_meta]
+    splits = data.split(records, _section(data.SplitSpec, run))
     print(
         "split sizes train/val/test: %d/%d/%d, hashes %s"
         % (
@@ -417,16 +322,14 @@ def cmd_ablate(args) -> int:
         )
     )
 
-    train_cfg = run.train_config()
-    out_dir = Path(run.out_dir)
+    train_cfg = _section(training.TrainConfig, run)
+    out_dir = Path(run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for mode in modes:
-        values = dict(run.values)
-        values["fusion_mode"] = mode
-        cfg = RunConfig(values).model_config()
+        cfg = _section(ModelConfig, run, fusion_mode=mode)
         try:
-            model = EcgTransformer(cfg, seed=run.seed)
+            model = EcgTransformer(cfg, seed=run["seed"])
             best_params, history, best_epoch = training.fit_with_early_stop(
                 model, splits[0], splits[1], train_cfg
             )
@@ -461,7 +364,7 @@ def cmd_attention_map(args) -> int:
         heatmap = analysis.attention_heatmap(model, record, args.layer)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = Path(args.out or "heatmaps")
+    out_dir = Path(args.out_dir or "heatmaps")
     base = out_dir / f"attention_{record.record_id}_layer{args.layer}"
     analysis.export_heatmap(heatmap, base)
     print(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.pgm')}")
@@ -475,57 +378,53 @@ def cmd_attention_map(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_code(message))
-
-    @staticmethod
-    def _exit_code(message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
+
+
+def _flag(parser: argparse.ArgumentParser, flag: str, key: str, help: str, **kw) -> None:
+    """A flag that sets schema key ``key``; ``{}`` in ``help`` shows its default."""
+    f = SCHEMA[key]
+    if "action" not in kw:
+        kw["type"] = lambda raw: coerce(f, raw)
+        kw["type"].__name__ = f.type  # argparse names it in "invalid int value"
+    shown = "off" if f.default is False else f.default
+    parser.add_argument(flag, dest=key, help=help.format(shown), **kw)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="run seed (default: 0)")
-    parser.add_argument("--out", help="output directory")
+    _flag(parser, "--seed", "seed", "run seed (default: {})")
+    _flag(parser, "--out", "out_dir", "output directory", metavar="OUT")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--manifest", help="curated manifest CSV")
-    parser.add_argument("--embeddings", help="notes embeddings file")
-    parser.add_argument(
-        "--learning-rate", dest="learning_rate", type=float, help="learning rate (default: 0.0001)"
-    )
-    parser.add_argument(
-        "--batch-size", dest="batch_size", type=int, help="batch size (default: 4)"
-    )
-    parser.add_argument("--d-model", dest="d_model", type=int, help="model dimension (default: 120)")
-    parser.add_argument("--heads", dest="n_heads", type=int, help="attention heads (default: 12)")
-    parser.add_argument(
-        "--encoder-layers", dest="n_encoder_layers", type=int, help="encoder layers (default: 6)"
-    )
-    parser.add_argument(
-        "--decoder-layers", dest="n_decoder_layers", type=int, help="decoder layers (default: 6)"
-    )
-    parser.add_argument("--dropout", type=float, help="dropout probability (default: 0.2)")
-    parser.add_argument(
-        "--feedforward-dim", dest="feedforward_dim", type=int, help="feed-forward width (default: 480)"
-    )
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int, help="epoch cap (default: 40)")
-    parser.add_argument(
-        "--patience", dest="early_stop_patience", type=int, help="early-stop patience (default: 5)"
-    )
-    parser.add_argument(
+    _flag(parser, "--manifest", "manifest", "curated manifest CSV")
+    _flag(parser, "--embeddings", "embeddings", "notes embeddings file")
+    _flag(parser, "--learning-rate", "learning_rate", "learning rate (default: {})")
+    _flag(parser, "--batch-size", "batch_size", "batch size (default: {})")
+    _flag(parser, "--d-model", "d_model", "model dimension (default: {})")
+    _flag(parser, "--heads", "n_heads", "attention heads (default: {})")
+    _flag(parser, "--encoder-layers", "n_encoder_layers", "encoder layers (default: {})")
+    _flag(parser, "--decoder-layers", "n_decoder_layers", "decoder layers (default: {})")
+    _flag(parser, "--dropout", "dropout", "dropout probability (default: {})")
+    _flag(parser, "--feedforward-dim", "feedforward_dim", "feed-forward width (default: {})")
+    _flag(parser, "--max-epochs", "max_epochs", "epoch cap (default: {})")
+    _flag(parser, "--patience", "early_stop_patience", "early-stop patience (default: {})")
+    _flag(
+        parser,
         "--fusion-mode",
-        dest="fusion_mode",
+        "fusion_mode",
+        "modality fusion strategy (default: {})",
         choices=FUSION_MODES,
-        help="modality fusion strategy (default: cross_attention)",
     )
-    parser.add_argument(
+    _flag(
+        parser,
         "--per-lead",
-        dest="per_lead_encoders",
+        "per_lead_encoders",
+        "run one independent encoder per lead (default: {})",
         action="store_const",
         const=True,
-        help="run one independent encoder per lead (default: off)",
     )
 
 
@@ -541,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="curate a raw manifest and write clean waveforms")
     _add_common(p)
-    p.add_argument("--manifest", help="raw manifest CSV (12x1000 waveforms)")
-    p.add_argument("--cap", type=int, default=2500, help="per-class cap (default: 2500)")
+    _flag(p, "--manifest", "manifest", "raw manifest CSV (12x1000 waveforms)")
+    _flag(p, "--cap", "per_class_cap", "per-class cap (default: {})", metavar="CAP")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="train a model and write checkpoint + history")
@@ -570,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument(
         "--modes",
-        default="cross_attention,early_concat,early_sum,waveform_only",
+        default=",".join(FUSION_MODES),
         help="comma-separated fusion modes to compare",
     )
     p.set_defaults(func=cmd_ablate)

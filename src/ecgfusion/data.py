@@ -383,14 +383,12 @@ class LoadedRecord:
     embedding: Optional[np.ndarray] = None  # 768 floats
 
 
-def prepare_records(
-    ds: SynthDataset, use_embeddings: bool = True, preprocess: bool = True
-) -> list[LoadedRecord]:
+def prepare_records(ds: SynthDataset, use_embeddings: bool = True) -> list[LoadedRecord]:
     """Run the waveform cleanup over a synthetic dataset in memory."""
     out = []
     for r in ds.records:
         raw = sigproc.RawEcg(leads=ds.waveforms[r.record_id], record_id=r.record_id)
-        clean = sigproc.preprocess_record(raw) if preprocess else None
+        clean = sigproc.preprocess_record(raw)
         emb = ds.embeddings[r.record_id].vector if use_embeddings else None
         out.append(
             LoadedRecord(

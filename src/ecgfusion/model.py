@@ -20,7 +20,7 @@ head per lead.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -450,13 +450,6 @@ def forward(
     return classifier_forward(combined, params, config, train_mode, rng)
 
 
-def forward_per_lead(ecg, notes, config, params, train_mode=False, rng=None, cache=None):
-    """Per-lead variant entry point; requires per_lead_encoders in config."""
-    if not config.per_lead_encoders:
-        raise ConfigError("forward_per_lead needs per_lead_encoders=true")
-    return forward(ecg, notes, config, params, train_mode, rng, cache)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -475,29 +468,51 @@ def _config_to_lines(config: ModelConfig, extra: Optional[dict] = None) -> str:
     return "\n".join(items) + "\n"
 
 
+def coerce(f: Field, raw: str, error: type[ValueError] = ConfigError, where: str = ""):
+    """Parse the text ``raw`` as a value of the dataclass field ``f``.
+
+    The one type rule for config files, flags and checkpoint headers:
+    int and float parse as Python parses them, a bool is one of
+    true/yes/1 or false/no/0 in any case, and any other field keeps the
+    text.  A value that does not parse raises ``error``, with ``where``
+    in front of the message.
+    """
+    kind = getattr(f.type, "__name__", f.type)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise error(f"{where}{f.name}: expected {kind}, got {raw!r}") from None
+    if kind == "bool":
+        low = raw.strip().lower()
+        if low in ("true", "yes", "1"):
+            return True
+        if low in ("false", "no", "0"):
+            return False
+        raise error(f"{where}{f.name}: expected a boolean, got {raw!r}")
+    return raw
+
+
 def _config_from_lines(text: str) -> tuple[ModelConfig, dict]:
     kwargs = {}
     extra = {}
-    types = {f.name: f.type for f in fields(ModelConfig)}
+    known = {f.name: f for f in fields(ModelConfig)}
     for line in text.splitlines():
         if not line.strip():
             continue
         key, _, value = line.partition("=")
         if key.startswith("extra."):
             extra[key[len("extra.") :]] = value
-            continue
-        if key not in types:
-            raise DataError(f"checkpoint config: unknown key {key!r}")
-        t = types[key]
-        if t == "int":
-            kwargs[key] = int(value)
-        elif t == "float":
-            kwargs[key] = float(value)
-        elif t == "bool":
-            kwargs[key] = value == "true"
+        elif key in known:
+            kwargs[key] = coerce(known[key], value, DataError, "checkpoint config: ")
         else:
-            kwargs[key] = value
-    return ModelConfig(**kwargs), extra
+            raise DataError(f"checkpoint config: unknown key {key!r}")
+    try:
+        return ModelConfig(**kwargs), extra
+    except ConfigError as exc:
+        raise DataError(f"checkpoint config: {exc}") from None
 
 
 def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor], extra=None) -> None:
@@ -572,6 +587,3 @@ class EcgTransformer:
             rng=self.rng,
             cache=cache,
         )
-
-    def clone_params(self) -> dict[str, Tensor]:
-        return copy_params(self.params)

@@ -45,6 +45,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.early_stop_patience < 1:
             raise ConfigError(f"early_stop_patience must be >= 1, got {self.early_stop_patience}")
 

@@ -24,7 +24,6 @@ from ecgfusion.analysis import (
 from ecgfusion.autodiff import Tape, Tensor, backward, bce_with_logits, finite_diff_check
 from ecgfusion.cli import main
 from ecgfusion.data import (
-    RecordMeta,
     SplitSpec,
     prepare_records,
     split,
@@ -293,10 +292,8 @@ def test_criterion_5_fusion_benefit():
     ds = synth_dataset(110, seed=2024, notes_informative=True)
     ds.records = ds.records[:600]
     records = prepare_records(ds)
-    meta = [RecordMeta(record_id=r.record_id, labels=r.labels) for r in records]
-    by_id = {r.record_id: r for r in records}
     spec = SplitSpec(train_fraction=400 / 600, val_fraction=100 / 600, test_fraction=100 / 600, seed=0)
-    parts = [[by_id[m.record_id] for m in p] for p in split(meta, spec)]
+    parts = split(records, spec)
     assert [len(p) for p in parts] == [400, 100, 100]
 
     budget = TrainConfig(learning_rate=0.0005, batch_size=4, max_epochs=2, early_stop_patience=2, seed=0)

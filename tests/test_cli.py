@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line surface and its file formats."""
 
+import argparse
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ecgfusion import data
-from ecgfusion.cli import main, parse_config_file
+from ecgfusion.cli import CHECKPOINT_EXTRAS, SCHEMA, build_parser, main, parse_config_file
 from ecgfusion.errors import ConfigError
+from ecgfusion.model import ModelConfig, load_checkpoint, save_checkpoint
 
 TINY_FLAGS = [
     "--d-model", "8",
@@ -65,6 +69,34 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg)]) == 1
 
 
+    @pytest.mark.parametrize("key", ["seq_len", "n_leads", "notes_dim", "n_classes"])
+    def test_shape_keys_are_not_settable(self, key, tmp_path, capsys):
+        # the file formats fix 12x250 waveforms, 768-dim notes and 5 classes
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=3\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_per_class_cap_from_file_is_used(self, workspace, tmp_path, capsys):
+        manifest = str(workspace / "raw" / "manifest.csv")
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("per_class_cap=1\n")
+        assert main(["preprocess", "--manifest", manifest, "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out.splitlines()[0]
+        assert main(["preprocess", "--manifest", manifest, "--out", str(tmp_path / "b"), "--cap", "1"]) == 0
+        from_flag = capsys.readouterr().out.splitlines()[0]
+        assert from_file.split(" -> ")[0] == from_flag.split(" -> ")[0]
+        assert not from_file.startswith("curated 16 of 16")
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "ablate"])
+    def test_every_flag_sets_a_schema_key(self, command):
+        # a flag whose dest is not a schema key would bypass the config file
+        command_only = {"help", "config", "modes"}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for action in sub.choices[command]._actions:
+            assert action.dest in SCHEMA or action.dest in command_only, action.dest
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "command", ["preprocess", "train", "evaluate", "predict", "ablate", "attention-map"]
@@ -72,6 +104,11 @@ class TestHelp:
     def test_help_exits_zero(self, command, capsys):
         assert main([command, "--help"]) == 0
         capsys.readouterr()
+
+    def test_preprocess_help_keeps_metavars(self, capsys):
+        main(["preprocess", "--help"])
+        text = capsys.readouterr().out
+        assert "--cap CAP" in text and "--out OUT" in text and "default: 2500" in text
 
     def test_train_help_lists_table_defaults(self, capsys):
         main(["train", "--help"])
@@ -209,6 +246,23 @@ class TestEvaluate:
         rc = main(["evaluate", "--checkpoint", str(bad), "--split", "train"])
         assert rc == 2
         assert "bad.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key",
+        [f.name for f in fields(ModelConfig)]
+        + [f"extra.{k}" for k in CHECKPOINT_EXTRAS if SCHEMA[k].type != "str"],
+    )
+    def test_malformed_header_value_is_data_error(self, key, workspace, tmp_path, capsys):
+        config, params, extra = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        if key.startswith("extra."):
+            extra[key[len("extra."):]] = "abc"
+        else:
+            setattr(config, key, "abc")  # written verbatim into the header
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, config, params, extra)
+        assert main(["evaluate", "--checkpoint", str(bad), "--split", "train"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and key.split(".")[-1] in err
 
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         rc = main(["evaluate", "--checkpoint", str(tmp_path / "none.bin"), "--split", "val"])

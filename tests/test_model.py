@@ -2,6 +2,7 @@
 variant, and checkpoint format."""
 
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from ecgfusion.errors import ConfigError, DataError
 from ecgfusion.model import (
     EcgTransformer,
     ModelConfig,
+    coerce,
     condense_leads,
     forward,
-    forward_per_lead,
     init_params,
     load_checkpoint,
     multi_head_attention,
@@ -357,7 +358,7 @@ class TestPerLeadVariant:
         cfg = self.cfg()
         params = init_params(cfg, np.random.default_rng(17))
         ecg, emb = small_inputs(cfg, seed=8)
-        probs, _ = forward_per_lead(ecg, emb, cfg, params)
+        probs, _ = forward(ecg, emb, cfg, params)
         assert probs.shape == (5,)
 
     def test_zeroing_lead_changes_only_its_head(self):
@@ -365,22 +366,15 @@ class TestPerLeadVariant:
         params = init_params(cfg, np.random.default_rng(18))
         ecg, emb = small_inputs(cfg, seed=9)
         cache_a, cache_b = {}, {}
-        forward_per_lead(ecg, emb, cfg, params, cache=cache_a)
+        forward(ecg, emb, cfg, params, cache=cache_a)
         zeroed = ecg.copy()
         zeroed[4] = 0.0
-        forward_per_lead(zeroed, emb, cfg, params, cache=cache_b)
+        forward(zeroed, emb, cfg, params, cache=cache_b)
         for lead in range(12):
             same = np.array_equal(
                 cache_a["per_head_outputs"][lead], cache_b["per_head_outputs"][lead]
             )
             assert same == (lead != 4)
-
-    def test_flag_enforced(self):
-        cfg = small_config()
-        params = init_params(cfg, np.random.default_rng(19))
-        ecg, emb = small_inputs(cfg)
-        with pytest.raises(ConfigError, match="per_lead"):
-            forward_per_lead(ecg, emb, cfg, params)
 
     def test_runtime_at_least_fused(self):
         fused = small_config(seq_len=64, d_model=24, n_heads=12, n_encoder_layers=2)
@@ -431,6 +425,14 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(path)
 
+    def test_capitalised_bool_in_header_loads_true(self, tmp_path):
+        cfg = small_config(d_model=24, n_heads=12, per_lead_encoders=True)
+        params = init_params(cfg, np.random.default_rng(25))
+        cfg.per_lead_encoders = "True"  # written verbatim into the header
+        save_checkpoint(tmp_path / "m.bin", cfg, params)
+        cfg2, _, _ = load_checkpoint(tmp_path / "m.bin")
+        assert cfg2.per_lead_encoders is True
+
     def test_parameter_config_mismatch_rejected(self, tmp_path):
         cfg = small_config()
         params = init_params(cfg, np.random.default_rng(24))
@@ -438,6 +440,25 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.bin", cfg, params)
         with pytest.raises(DataError, match="match"):
             load_checkpoint(tmp_path / "m.bin")
+
+
+class TestCoerce:
+    FIELDS = {f.name: f for f in fields(ModelConfig)}
+
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [("true", True), ("True", True), ("YES", True), ("1", True),
+         ("false", False), ("FALSE", False), ("no", False), ("0", False)],
+    )
+    def test_one_bool_rule(self, raw, expected):
+        assert coerce(self.FIELDS["per_lead_encoders"], raw) is expected
+
+    @pytest.mark.parametrize("key", ["d_model", "dropout", "per_lead_encoders"])
+    def test_malformed_value_raises_the_given_error(self, key):
+        with pytest.raises(ConfigError, match=key):
+            coerce(self.FIELDS[key], "abc")
+        with pytest.raises(DataError, match=f"ckpt: {key}"):
+            coerce(self.FIELDS[key], "abc", DataError, "ckpt: ")
 
 
 class TestEcgTransformerWrapper:

@@ -127,6 +127,9 @@ class TestAdam:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(early_stop_patience=0)
+        # with no epoch there is no best epoch to report or restore
+        with pytest.raises(ConfigError, match="max_epochs"):
+            TrainConfig(max_epochs=0)
 
 
 def brute_force_accuracy(probs, labels):
