@@ -3,7 +3,9 @@
 Every differentiable operation in the model is built from the primitives
 here.  Operations execute eagerly on numpy arrays; when a Tape is active
 (``with Tape() as tape:``) each op records a node holding its operands and
-a gradient rule, and ``backward`` replays the tape in reverse.
+a gradient rule, and ``backward`` replays the tape in reverse.  Gradients
+land in ``.grad`` on leaves only (parameters and caller inputs that no
+node on the tape produced) and accumulate across backward calls.
 
 A Tape and the Tensors recorded on it form a single-threaded unit; the
 active tape is tracked per-thread so independent tapes may run on
@@ -47,10 +49,10 @@ __all__ = [
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients.
 
-    ``grad`` stays ``None`` until ``backward`` reaches this tensor, and is
-    only ever populated when ``requires_grad`` is set.  Gradients
-    accumulate additively across backward calls; use ``zero_grad`` between
-    optimizer steps.
+    ``grad`` stays ``None`` until ``backward`` reaches this tensor as a
+    leaf, and is only ever populated when ``requires_grad`` is set.
+    Gradients accumulate additively across backward calls; use
+    ``zero_grad`` between optimizer steps.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -130,18 +132,22 @@ def _needs_grad(*tensors: Tensor) -> bool:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Add d(loss)/d(leaf) into ``grad`` of every leaf reachable from loss.
 
-    Propagation runs on transient buffers and only the final per-tensor
+    A leaf is a requires_grad tensor that no node on ``tape`` produced,
+    such as a parameter or a caller's input; intermediates keep ``grad``
+    ``None``.  Propagation runs on transient buffers, each released as
+    soon as its node's rule has consumed it, and only the final per-leaf
     totals are added into ``.grad``, so calling backward twice without a
-    grad reset doubles every gradient exactly.
+    grad reset doubles every leaf gradient exactly.  The tape is left
+    intact.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
-        g = flowing.get(id(node.out))
+        g = flowing.pop(id(node.out), None)
         if g is None:
             continue
         for inp, gi in zip(node.inputs, node.rule(g)):
@@ -153,10 +159,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
             else:
                 flowing[key] = gi
                 holders[key] = inp
-    for key, t in holders.items():
+    # every produced tensor's buffer was popped at its node: what is left
+    # belongs to leaves
+    for key, total in flowing.items():
+        t = holders[key]
         if not t.requires_grad:
             continue
-        total = flowing[key].reshape(t.data.shape)
+        total = total.reshape(t.data.shape)
         t.grad = total.copy() if t.grad is None else t.grad + total
 
 
@@ -206,11 +215,30 @@ def sum_all(a: Tensor) -> Tensor:
 # shape manipulation
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product ``a @ b``, plus ``bias`` added to every row when given.
+
+    The bias is fused into the product's node, so the tape never holds the
+    pre-bias product.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_needs_grad(a, b))
-    _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ValueError(f"matmul bias shape {bias.shape}, expected ({b.shape[1]},)")
+    inputs = (a, b) if bias is None else (a, b, bias)
+    out_data = a.data @ b.data
+    if bias is not None:
+        out_data += bias.data
+    out = Tensor(out_data, requires_grad=_needs_grad(*inputs))
+
+    def rule(g):
+        da = g @ b.data.T if a.requires_grad else None
+        db = a.data.T @ g if b.requires_grad else None
+        if bias is None:
+            return (da, db)
+        return (da, db, g.sum(axis=0) if bias.requires_grad else None)
+
+    _record(out, inputs, rule)
     return out
 
 

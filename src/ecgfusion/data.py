@@ -194,6 +194,10 @@ def read_waveform(path, n_samples: int) -> np.ndarray:
         raise DataError(
             f"{path}: expected {sigproc.N_LEADS * n_samples} float32 samples, got {raw.size}"
         )
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        lead, sample = divmod(int(bad[0]), n_samples)
+        raise DataError(f"{path}: {bad.size} non-finite samples, first at lead {lead} sample {sample}")
     return raw.astype(np.float64).reshape(sigproc.N_LEADS, n_samples)
 
 

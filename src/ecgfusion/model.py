@@ -19,6 +19,8 @@ head per lead.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import Field, dataclass, fields
 from typing import Optional
@@ -231,7 +233,7 @@ def positional_encode(tokens: Tensor) -> Tensor:
 
 
 def _linear(x: Tensor, params, name: str) -> Tensor:
-    return ad.add(ad.matmul(x, params[f"{name}.w"]), params[f"{name}.b"])
+    return ad.matmul(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def condense_leads(x: Tensor, params) -> Tensor:
@@ -256,13 +258,13 @@ def multi_head_attention(
     """Project q/k/v, run scaled dot-product attention per head, then
     concatenate and output-project.  Attention weights are appended to
     ``attn_out`` when given."""
-    q = ad.add(ad.matmul(q_in, params[f"{name}.wq"]), params[f"{name}.bq"])
+    q = ad.matmul(q_in, params[f"{name}.wq"], params[f"{name}.bq"])
     k = ad.matmul(k_in, params[f"{name}.wk"])
-    v = ad.add(ad.matmul(v_in, params[f"{name}.wv"]), params[f"{name}.bv"])
+    v = ad.matmul(v_in, params[f"{name}.wv"], params[f"{name}.bv"])
     pooled, weights = ad.attention_heads(q, k, v, n_heads)
     if attn_out is not None:
         attn_out.append(weights)
-    return ad.add(ad.matmul(pooled, params[f"{name}.wo"]), params[f"{name}.bo"])
+    return ad.matmul(pooled, params[f"{name}.wo"], params[f"{name}.bo"])
 
 
 def _sublayer(x: Tensor, sub_out: Tensor, params, ln_name: str, config, train, rng) -> Tensor:
@@ -387,7 +389,7 @@ def _encode_per_lead(ecg: Tensor, params, config, train, rng, cache):
         head_outputs.append(pooled_head)
         mv_weights.append(weights[0])
     stacked = ad.concat(head_outputs, axis=1)
-    pooled = ad.add(ad.matmul(stacked, params["mv.wo"]), params["mv.bo"])
+    pooled = ad.matmul(stacked, params["mv.wo"], params["mv.bo"])
     if cache is not None:
         cache["per_head_outputs"] = [h.data.copy() for h in head_outputs]
         cache["mv_attn"] = mv_weights
@@ -535,24 +537,42 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor], extra=
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor], dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Every field is length-checked against the bytes left in the file, so a
+    file cut short or with bytes past the last parameter blob raises
+    ``DataError``, as does text that is not UTF-8 or a repeated name.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            if n > size - fh.tell():
+                raise DataError(f"{path}: file ends inside {what}")
+            return fh.read(n)
+
+        def read_u32(what: str) -> int:
+            return struct.unpack("<I", read(4, what))[0]
+
+        def read_text(n: int, what: str) -> str:
+            try:
+                return read(n, what).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: {what} is not UTF-8") from None
+
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
-        config, extra = _config_from_lines(fh.read(cfg_len).decode("utf-8"))
+        config, extra = _config_from_lines(read_text(read_u32("the config length"), "the config text"))
         params: dict[str, Tensor] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            params[name] = Tensor(data.copy(), requires_grad=True)
+        while fh.tell() < size:
+            name = read_text(read_u32("a parameter name length"), "a parameter name")
+            rank = read_u32(f"the rank of {name!r}")
+            shape = struct.unpack(f"<{rank}I", read(4 * rank, f"the shape of {name!r}"))
+            blob = read(8 * math.prod(shape), f"the data of {name!r}")
+            if name in params:
+                raise DataError(f"{path}: parameter {name!r} appears twice")
+            params[name] = Tensor(np.frombuffer(blob, dtype="<f8").reshape(shape).copy(), requires_grad=True)
     expected = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
     got = {k: v.shape for k, v in params.items()}
     if expected != got:

@@ -64,6 +64,48 @@ class TestMatmul:
             right = ad.matmul(a, ad.matmul(b, c)).data
             np.testing.assert_allclose(left, right, atol=1e-9)
 
+    def fused_and_unfused(self):
+        """Output and (x, w, bias) gradients of matmul with a fused bias and
+        of add(matmul, bias), from identical operands."""
+        results = []
+        for fused in (True, False):
+            x = Tensor(rand((5, 4), seed=31), requires_grad=True)
+            w = Tensor(rand((4, 3), seed=32), requires_grad=True)
+            b = Tensor(rand((3,), seed=33), requires_grad=True)
+            c = Tensor(rand((5, 3), seed=34))
+            with Tape() as tape:
+                y = ad.matmul(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+                loss = ad.sum_all(ad.mul(ad.sigmoid(y), c))
+            backward(loss, tape)
+            results.append((y.data, x.grad, w.grad, b.grad))
+        return results
+
+    def test_fused_bias_matches_add_bit_for_bit(self):
+        fused, unfused = self.fused_and_unfused()
+        for got, want in zip(fused, unfused):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("operand", ["x", "w", "bias"])
+    def test_fused_bias_finite_differences(self, operand):
+        vals = {"x": rand((5, 4), seed=35), "w": rand((4, 3), seed=36), "bias": rand((3,), seed=37)}
+        c = Tensor(rand((5, 3), seed=38))
+
+        def f(t):
+            ops = {k: t if k == operand else Tensor(v) for k, v in vals.items()}
+            return ad.sum_all(ad.mul(ad.sigmoid(ad.matmul(ops["x"], ops["w"], ops["bias"])), c))
+
+        assert finite_diff_check(f, Tensor(vals[operand])) < 1e-6
+
+    def test_fused_bias_is_one_node(self):
+        x = Tensor(rand((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            ad.matmul(x, Tensor(rand((3, 4))), Tensor(rand((4,))))
+        assert len(tape) == 1
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match=r"bias shape \(1, 4\)"):
+            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((1, 4))))
+
 
 def naive_conv2d(x, k, b, stride=1, padding=0):
     """Brute-force sliding-window cross-correlation."""
@@ -217,6 +259,17 @@ class TestBackward:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, 2 * gx)
         np.testing.assert_array_equal(w.grad, 2 * gw)
+
+    def test_grad_lands_on_leaves_only(self):
+        x = Tensor(rand((3, 3), seed=7), requires_grad=True)
+        w = Tensor(rand((3, 3), seed=8), requires_grad=True)
+        with Tape() as tape:
+            h = ad.matmul(x, w)
+            loss = ad.sum_all(ad.mul(h, h))
+        backward(loss, tape)
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_allclose(w.grad, x.data.T @ (2 * h.data), atol=1e-12)
+        assert len(tape) == 3  # backward leaves the tape intact
 
     def test_fanout_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its file formats."""
 
 import argparse
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -332,6 +333,71 @@ class TestPredict:
         )
         assert rc == 0
         capsys.readouterr()
+
+
+def checkpoint_cuts(blob: bytes) -> dict[str, int]:
+    """Lengths that end the checkpoint ``blob`` inside and at the end of
+    each field: magic, config length and text, then the first parameter's
+    name length, name, rank, dims and data, and 13 bytes short."""
+    fields_ = [("magic", 8), ("config length", 4)]
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    fields_.append(("config text", cfg_len))
+    at = 12 + cfg_len
+    (name_len,) = struct.unpack_from("<I", blob, at)
+    (rank,) = struct.unpack_from("<I", blob, at + 4 + name_len)
+    dims = struct.unpack_from(f"<{rank}I", blob, at + 8 + name_len)
+    count = int(np.prod(dims))
+    fields_ += [("name length", 4), ("name", name_len), ("rank", 4), ("dims", 4 * rank), ("data", 8 * count)]
+    cuts = {"13 bytes short": len(blob) - 13}
+    start = 0
+    for name, size in fields_:
+        cuts[f"inside {name}"] = start + size // 2
+        cuts[f"after {name}"] = start + size
+        start += size
+    return cuts
+
+
+class TestCorruptCheckpoint:
+    def predict(self, workspace, ckpt, capsys):
+        wf = sorted((workspace / "cur" / "clean").glob("*.f32"))[0]
+        rc = main(["predict", "--checkpoint", str(ckpt), "--waveform", str(wf), "--note", "x"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("data error:") and "Traceback" not in err
+        return err
+
+    def test_cut_at_every_field(self, workspace, tmp_path, capsys):
+        blob = (workspace / "run" / "checkpoint.bin").read_bytes()
+        bad = tmp_path / "cut.bin"
+        for where, length in checkpoint_cuts(blob).items():
+            bad.write_bytes(blob[:length])
+            err = self.predict(workspace, bad, capsys)
+            assert "cut.bin" in err, where
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00\x00\x00", b"\x00" * 4, b"\xff" * 13])
+    def test_trailing_bytes(self, extra, workspace, tmp_path, capsys):
+        bad = tmp_path / "long.bin"
+        bad.write_bytes((workspace / "run" / "checkpoint.bin").read_bytes() + extra)
+        self.predict(workspace, bad, capsys)
+
+
+class TestNonFiniteWaveform:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["clean", "raw"])
+    def test_predict_is_data_error(self, kind, value, workspace, tmp_path, capsys):
+        src = sorted((workspace / ("cur/clean" if kind == "clean" else "raw/waveforms")).glob("*.f32"))[0]
+        wave = np.fromfile(src, dtype="<f4")
+        wave[100] = value
+        bad = tmp_path / "bad.f32"
+        wave.tofile(bad)
+        rc = main(
+            ["predict", "--checkpoint", str(workspace / "run" / "checkpoint.bin"),
+             "--waveform", str(bad), "--note", "x"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "non-finite" in err and "Traceback" not in err
+        assert "flagged" not in out
 
 
 class TestAblate:

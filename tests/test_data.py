@@ -296,6 +296,19 @@ class TestManifestIO:
             read_manifest(path)
 
 
+class TestReadWaveform:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_by_load_clean_records(self, value, tmp_path):
+        wave = np.zeros((12, 250), dtype=np.float32)
+        wave[3, 17] = value
+        data.write_waveform(tmp_path / "a.f32", wave)
+        rec = make_record("a", ["NORM"])
+        rec.waveform_ref = "a.f32"
+        write_manifest(tmp_path / "m.csv", [rec])
+        with pytest.raises(DataError, match="1 non-finite samples, first at lead 3 sample 17"):
+            data.load_clean_records(tmp_path / "m.csv")
+
+
 class TestCurationPipelineDeterminism:
     def test_full_pipeline_deterministic(self):
         ds = synth_dataset(6, seed=13)

@@ -2,6 +2,7 @@
 variant, and checkpoint format."""
 
 import time
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from ecgfusion import autodiff as ad
 from ecgfusion import model as M
-from ecgfusion.autodiff import Tensor
+from ecgfusion.autodiff import Tape, Tensor, backward
 from ecgfusion.data import LoadedRecord
 from ecgfusion.errors import ConfigError, DataError
 from ecgfusion.model import (
@@ -476,3 +477,42 @@ class TestEcgTransformerWrapper:
         b = EcgTransformer(cfg, seed=9)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+
+
+class TestBackwardOnModel:
+    def train_loss(self, model, seed=12):
+        ecg, emb = small_inputs(model.config, seed=seed)
+        rec = LoadedRecord(record_id="x", waveform=ecg, labels=np.array([1.0, 0, 0, 1, 0]), embedding=emb)
+        with Tape() as tape:
+            _, logits = model.forward(rec, train=True)
+            loss = ad.bce_with_logits(logits, rec.labels[None, :])
+        return loss, tape
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"fusion_mode": m} for m in M.FUSION_MODES]
+        + [{"d_model": 24, "n_heads": 12, "per_lead_encoders": True}],
+    )
+    def test_grads_on_parameters_only(self, overrides):
+        model = EcgTransformer(small_config(dropout=0.1, **overrides), seed=5)
+        loss, tape = self.train_loss(model)
+        backward(loss, tape)
+        assert all(node.out.grad is None for node in tape.nodes)
+        for name, t in model.params.items():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+
+    def test_backward_retains_about_the_parameter_gradients(self):
+        # the acceptance-test model at full sequence length
+        cfg = ModelConfig(d_model=16, n_heads=2, n_encoder_layers=1, n_decoder_layers=1,
+                          dropout=0.1, feedforward_dim=32)
+        model = EcgTransformer(cfg, seed=0)
+        param_bytes = sum(t.data.nbytes for t in model.params.values())
+        tracemalloc.start()
+        try:
+            loss, tape = self.train_loss(model)
+            held_by_forward, _ = tracemalloc.get_traced_memory()
+            backward(loss, tape)
+            held_after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held_after - held_by_forward <= 1.05 * param_bytes
