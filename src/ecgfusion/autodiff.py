@@ -312,7 +312,7 @@ def softmax_rows(x: Tensor) -> Tensor:
         raise ValueError(f"softmax_rows expects a matrix, got shape {x.shape}")
     if not np.isfinite(x.data).all():
         raise ValueError("softmax_rows: non-finite input")
-    p = _softmax_lastaxis(x.data)
+    p = _softmax_lastaxis_(x.data.copy())
     out = Tensor(p, requires_grad=x.requires_grad)
 
     def rule(g):
@@ -322,10 +322,12 @@ def softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def _softmax_lastaxis(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_lastaxis_(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``x``, overwriting ``x``; returns it."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
@@ -461,6 +463,11 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, n_heads: int):
     the scores (Lq, Lk) are scaled by 1/sqrt(d/n_heads) and softmaxed over
     keys.  Returns ``(output, weights)`` where weights is the row-stochastic
     (n_heads, Lq, Lk) array of attention probabilities.
+
+    Forward and backward run one head at a time and work in place on that
+    head's (Lq, Lk) block, so the block stays in cache and no temporary
+    the size of all heads' scores is made; every value matches the
+    all-heads-at-once formula bit for bit.
     """
     lq, d = q.shape
     lk, dk_ = k.shape
@@ -470,30 +477,38 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, n_heads: int):
         raise ValueError(f"attention: width {d} not divisible by {n_heads} heads")
     dh = d // n_heads
     inv = 1.0 / math.sqrt(dh)
-    # head-major (H, L, dh) layout keeps everything on batched BLAS matmul
+    # head-major (H, L, dh) operands: each head's slice is contiguous for BLAS
     qh = np.ascontiguousarray(q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2))
     kh = np.ascontiguousarray(k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
     vh = np.ascontiguousarray(v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2))
-    scores = (qh @ kh.transpose(0, 2, 1)) * inv
-    probs = _softmax_lastaxis(scores)
-    out_data = (probs @ vh).transpose(1, 0, 2).reshape(lq, d)
+    probs = np.empty((n_heads, lq, lk))
+    out_data = np.empty((lq, d))
+    for h in range(n_heads):
+        p, cols = probs[h], slice(h * dh, (h + 1) * dh)  # head h owns these columns
+        np.matmul(qh[h], kh[h].T, out=p)
+        p *= inv
+        _softmax_lastaxis_(p)
+        np.matmul(p, vh[h], out=out_data[:, cols])
     out = Tensor(out_data, requires_grad=_needs_grad(q, k, v))
 
     def rule(g):
         gh = np.ascontiguousarray(g.reshape(lq, n_heads, dh).transpose(1, 0, 2))
-        dp = gh @ vh.transpose(0, 2, 1)
-        dv = (
-            (probs.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(lk, d)
-            if v.requires_grad
-            else None
-        )
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-        dq = ((ds @ kh) * inv).transpose(1, 0, 2).reshape(lq, d) if q.requires_grad else None
-        dk = (
-            ((ds.transpose(0, 2, 1) @ qh) * inv).transpose(1, 0, 2).reshape(lk, d)
-            if k.requires_grad
-            else None
-        )
+        dq, dk, dv = (np.empty(t.shape) if t.requires_grad else None for t in (q, k, v))
+        ds = np.empty((lq, lk))
+        for h in range(n_heads):
+            p, cols = probs[h], slice(h * dh, (h + 1) * dh)
+            if dv is not None:
+                np.matmul(p.T, gh[h], out=dv[:, cols])
+            np.matmul(gh[h], vh[h].T, out=ds)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            if dq is not None:
+                np.matmul(ds, kh[h], out=dq[:, cols])
+            if dk is not None:
+                np.matmul(ds.T, qh[h], out=dk[:, cols])
+        for grad in (dq, dk):
+            if grad is not None:
+                grad *= inv
         return (dq, dk, dv)
 
     _record(out, (q, k, v), rule)

@@ -290,6 +290,8 @@ def cmd_predict(args) -> int:
     record = _record_for_inference(args, config)
     model = EcgTransformer(config, params=params)
     probs, _ = model.forward(record, train=False)
+    if not np.isfinite(probs.data).all():
+        raise NumericalError(f"non-finite probabilities for record {record.record_id!r}")
     flagged = []
     for name, p in zip(data.CLASS_NAMES, probs.data):
         marker = ""

@@ -541,7 +541,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor], dict]:
 
     Every field is length-checked against the bytes left in the file, so a
     file cut short or with bytes past the last parameter blob raises
-    ``DataError``, as does text that is not UTF-8 or a repeated name.
+    ``DataError``, as does text that is not UTF-8, a repeated name or a
+    parameter holding a NaN or Inf.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -572,7 +573,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor], dict]:
             blob = read(8 * math.prod(shape), f"the data of {name!r}")
             if name in params:
                 raise DataError(f"{path}: parameter {name!r} appears twice")
-            params[name] = Tensor(np.frombuffer(blob, dtype="<f8").reshape(shape).copy(), requires_grad=True)
+            values = np.frombuffer(blob, dtype="<f8").reshape(shape)
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: parameter {name!r} holds a NaN or Inf")
+            params[name] = Tensor(values.copy(), requires_grad=True)
     expected = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
     got = {k: v.shape for k, v in params.items()}
     if expected != got:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +42,14 @@ class TrainConfig:
 
     def __post_init__(self):
         # zero is allowed so a no-op pass can be used as a diagnostic
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be finite and positive, got {self.adam_eps}")
+        for name in ("adam_beta1", "adam_beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -162,6 +169,9 @@ def evaluate(model: EcgTransformer, split: list[LoadedRecord]):
         probs_rows.append(probs.data)
         logit_rows.append(logits.data[0])
     probs_mat = np.stack(probs_rows)
+    bad = np.flatnonzero(~np.isfinite(probs_mat).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"non-finite probabilities for record {split[bad[0]].record_id!r}")
     logits_mat = np.stack(logit_rows)
     targets = np.stack([rec.labels for rec in split])
     loss = bce_with_logits(Tensor(logits_mat), targets).item()

@@ -5,7 +5,10 @@ expected values below were computed by hand or with the brute-force
 oracles defined in this file.
 """
 
+import itertools
+import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +185,20 @@ class TestSoftmaxRows:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             ad.softmax_rows(Tensor([[np.nan, 1.0]]))
+
+    def test_matches_allocating_formula_and_keeps_input(self):
+        x0 = rand((9, 11), seed=4, lo=-30, hi=30)
+        g = rand((9, 11), seed=5)
+        x = Tensor(x0.copy(), requires_grad=True)
+        with Tape() as tape:
+            p = ad.softmax_rows(x)
+            loss = ad.sum_all(ad.mul(p, Tensor(g)))
+        backward(loss, tape)
+        e = np.exp(x0 - x0.max(axis=1, keepdims=True))
+        ref = e / e.sum(axis=1, keepdims=True)
+        assert np.array_equal(p.data, ref)
+        assert np.array_equal(x.grad, (g - (g * ref).sum(axis=1, keepdims=True)) * ref)
+        assert np.array_equal(x.data, x0)
 
 
 class TestLayerNorm:
@@ -445,6 +462,107 @@ class TestAttentionHeads:
         )
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
         assert (w >= 0).all()
+
+
+def batched_attention_reference(q, k, v, n_heads, g):
+    """The all-heads-at-once attention formula: (out, probs, dq, dk, dv)
+    for upstream gradient ``g``, every step on full (H, Lq, Lk) arrays."""
+    lq, d = q.shape
+    lk = k.shape[0]
+    dh = d // n_heads
+    inv = 1.0 / math.sqrt(dh)
+    qh = np.ascontiguousarray(q.reshape(lq, n_heads, dh).transpose(1, 0, 2))
+    kh = np.ascontiguousarray(k.reshape(lk, n_heads, dh).transpose(1, 0, 2))
+    vh = np.ascontiguousarray(v.reshape(lk, n_heads, dh).transpose(1, 0, 2))
+    scores = (qh @ kh.transpose(0, 2, 1)) * inv
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    out = (probs @ vh).transpose(1, 0, 2).reshape(lq, d)
+    gh = np.ascontiguousarray(g.reshape(lq, n_heads, dh).transpose(1, 0, 2))
+    dp = gh @ vh.transpose(0, 2, 1)
+    dv = (probs.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(lk, d)
+    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
+    dq = ((ds @ kh) * inv).transpose(1, 0, 2).reshape(lq, d)
+    dk = ((ds.transpose(0, 2, 1) @ qh) * inv).transpose(1, 0, 2).reshape(lk, d)
+    return out, probs, dq, dk, dv
+
+
+def published_attention_inputs():
+    """q, k, v and an upstream gradient at the published block shape:
+    250 tokens, width 120, 12 heads."""
+    q, k, v, g = (np.random.default_rng(s).normal(size=(250, 120)) for s in (60, 61, 62, 63))
+    return q, k, v, g
+
+
+class TestAttentionMatchesBatchedFormula:
+    """The head-by-head kernel must reproduce the batched formula bit for bit."""
+
+    SHAPES = {
+        "published": (250, 250, 120, 12),
+        "lq_ne_lk": (7, 13, 12, 3),
+        "lq_1": (1, 9, 8, 2),
+        "one_head": (20, 30, 16, 1),
+    }
+
+    @staticmethod
+    def run(q, k, v, n_heads, g):
+        with Tape() as tape:
+            out, w = ad.attention_heads(q, k, v, n_heads)
+            loss = ad.sum_all(ad.mul(out, Tensor(g)))
+        backward(loss, tape)
+        return out, w
+
+    @pytest.mark.parametrize("needs", [n for n in itertools.product((False, True), repeat=3) if any(n)])
+    @pytest.mark.parametrize("shape", list(SHAPES), ids=list(SHAPES))
+    def test_bitwise_equal(self, shape, needs):
+        lq, lk, d, n_heads = self.SHAPES[shape]
+        rng = np.random.default_rng(64)
+        q0, k0, v0 = rng.normal(size=(lq, d)), 3.0 * rng.normal(size=(lk, d)), rng.normal(size=(lk, d))
+        g = rng.normal(size=(lq, d))
+        q, k, v = (Tensor(a, requires_grad=n) for a, n in zip((q0, k0, v0), needs))
+        out, w = self.run(q, k, v, n_heads, g)
+        ref = batched_attention_reference(q0, k0, v0, n_heads, g)
+        assert np.array_equal(out.data, ref[0])
+        assert np.array_equal(w, ref[1])
+        for t, expected in zip((q, k, v), ref[2:]):
+            if t.requires_grad:
+                assert np.array_equal(t.grad, expected)
+            else:
+                assert t.grad is None
+
+    @pytest.mark.parametrize("n_heads", [1, 12])
+    def test_self_attention_bitwise_equal(self, n_heads):
+        # q, k and v are one tensor, as in the per-lead pooling block
+        x0, _, _, g = published_attention_inputs()
+        x = Tensor(x0, requires_grad=True)
+        out, w = self.run(x, x, x, n_heads, g)
+        ref = batched_attention_reference(x0, x0, x0, n_heads, g)
+        assert np.array_equal(out.data, ref[0])
+        assert np.array_equal(w, ref[1])
+        assert np.array_equal(x.grad, ref[2] + ref[3] + ref[4])
+
+
+class TestAttentionMemory:
+    def test_published_block_transients(self):
+        # the forward holds the (H, Lq, Lk) probs and makes no full-size
+        # temporary; backward works on one (Lq, Lk) block at a time
+        q0, k0, v0, g = published_attention_inputs()
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+        probs_bytes = 12 * 250 * 250 * 8
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ad.attention_heads(q, k, v, 12)
+            _, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            grads = tape.nodes[-1].rule(g)
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(gi is not None for gi in grads)
+        assert forward_peak <= 1.25 * probs_bytes
+        assert backward_peak - before <= 0.5 * probs_bytes
 
 
 class TestBceValues:

@@ -400,6 +400,47 @@ class TestNonFiniteWaveform:
         assert "flagged" not in out
 
 
+class TestCheckpointValues:
+    """Parameter values: NaN or Inf is a data error at load, and a finite
+    model whose forward overflows to NaN is a numerical failure."""
+
+    def rewrite(self, workspace, tmp_path, name, value, where=0):
+        config, params, extra = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        params[name].data.reshape(-1)[where] = value
+        bad = tmp_path / "values.bin"
+        save_checkpoint(bad, config, params, extra)
+        return bad
+
+    def run(self, command, ckpt, workspace, capsys):
+        wf = sorted((workspace / "cur" / "clean").glob("*.f32"))[0]
+        args = {
+            "predict": ["--waveform", str(wf), "--note", "x"],
+            "evaluate": ["--split", "train"],
+        }[command]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([command, "--checkpoint", str(ckpt), *args])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert "flagged" not in out and "accuracy" not in out
+        return rc, err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["cls.fc3.b", "enc0.attn.wq"])
+    def test_non_finite_parameter_is_data_error(self, name, value, command, workspace, tmp_path, capsys):
+        bad = self.rewrite(workspace, tmp_path, name, value)
+        rc, err = self.run(command, bad, workspace, capsys)
+        assert rc == 2
+        assert err.startswith("data error:") and repr(name) in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_probabilities_are_numerical_failure(self, command, workspace, tmp_path, capsys):
+        bad = self.rewrite(workspace, tmp_path, "cls.fc2.w", 1e308, where=slice(None))
+        rc, err = self.run(command, bad, workspace, capsys)
+        assert rc == 3
+        assert err.startswith("numerical failure:") and "non-finite probabilities" in err
+
+
 class TestAblate:
     def test_two_mode_table(self, workspace, tmp_path, capsys):
         rc = main(

@@ -8,6 +8,7 @@ import pytest
 
 from ecgfusion import training
 from ecgfusion.autodiff import Tensor, bce_with_logits
+from ecgfusion.cli import main
 from ecgfusion.data import LoadedRecord, synth_dataset, prepare_records
 from ecgfusion.errors import ConfigError, NumericalError
 from ecgfusion.model import EcgTransformer, ModelConfig
@@ -131,6 +132,35 @@ class TestAdam:
         with pytest.raises(ConfigError, match="max_epochs"):
             TrainConfig(max_epochs=0)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("adam_eps", "0"),
+            ("adam_eps", "-1e-8"),
+            ("adam_eps", "nan"),
+            ("adam_eps", "inf"),
+            ("adam_beta1", "-0.1"),
+            ("adam_beta1", "1.0"),
+            ("adam_beta1", "nan"),
+            ("adam_beta2", "1.0"),
+            ("adam_beta2", "inf"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_hyperparameter_exits_1(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_learning_rate_flag_non_finite_exits_1(self, value, tmp_path, capsys):
+        assert main(["train", "--learning-rate", value, "--out", str(tmp_path / "run")]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+
+    def test_edge_hyperparameters_accepted(self):
+        TrainConfig(learning_rate=0.0, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
+
 
 def brute_force_accuracy(probs, labels):
     correct = 0
@@ -236,6 +266,15 @@ class TestEvaluate:
         b = evaluate(model, records)
         assert a[0] == b[0] and a[1] == b[1]
         np.testing.assert_array_equal(a[2], b[2])
+
+    def test_non_finite_probabilities_raise(self):
+        # a finite but huge weight overflows to inf, then inf - inf = NaN
+        model = tiny_model(seed=12)
+        records = tiny_records(3, model.config, seed=12)
+        model.params["cls.fc2.w"].data[...] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="'t0'"):
+                evaluate(model, records)
 
     def test_confident_normal_record_scores_accurate(self):
         probs = np.array([[0.9675, 0.02, 0.03, 0.01, 0.005]])
