@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ecgfusion.data import LoadedRecord
-from ecgfusion.errors import DataError
+from ecgfusion.errors import ConfigError, DataError
 from ecgfusion.model import EcgTransformer
 from ecgfusion.training import EpochStats, write_history
 
@@ -48,7 +48,7 @@ def apply_pooled_attention(pooled: np.ndarray, leads: np.ndarray) -> np.ndarray:
 def attention_heatmap(model: EcgTransformer, record: LoadedRecord, layer_index: int = 0) -> HeatmapMatrix:
     """Per-lead attended signal from one encoder layer of a frozen model."""
     if not (0 <= layer_index < model.config.n_encoder_layers):
-        raise ValueError(
+        raise ConfigError(
             f"layer_index {layer_index} outside 0..{model.config.n_encoder_layers - 1}"
         )
     cache: dict = {}

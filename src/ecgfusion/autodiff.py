@@ -515,11 +515,16 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, n_heads: int):
     return out, probs
 
 
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Mean binary cross entropy over all logit entries, numerically stable.
+def bce_with_logits(logits: Tensor, targets, count: Optional[int] = None) -> Tensor:
+    """Binary cross entropy summed over the logit entries and divided by
+    ``count``, numerically stable.
 
-    targets must be a {0,1} array (or Tensor) of the same shape; no
-    gradient flows to targets.
+    ``count`` defaults to ``logits.size``, which gives the mean.  A larger
+    ``count`` (the number of entries in a whole batch) makes this part of
+    a batch its share of the batch mean: the gradient each entry gets is
+    bit for bit the one the batch's mean loss gives it.  targets must be a
+    {0,1} array (or Tensor) of the same shape; no gradient flows to
+    targets.
     """
     t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
     z = logits.data
@@ -527,9 +532,11 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"bce_with_logits: logits {z.shape} vs targets {t.shape}")
     if not np.isin(t, (0.0, 1.0)).all():
         raise ValueError("bce_with_logits: targets must be binary")
+    n = z.size if count is None else count
+    if n < z.size:
+        raise ValueError(f"bce_with_logits: count {n} below the {z.size} logit entries")
     terms = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor(terms.mean(), requires_grad=logits.requires_grad)
-    n = z.size
+    out = Tensor(terms.sum() / n, requires_grad=logits.requires_grad)
     _record(out, (logits,), lambda g: (g * (_sigmoid(z) - t) / n,))
     return out
 

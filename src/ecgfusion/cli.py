@@ -4,7 +4,8 @@ attention-map.
 Configuration comes from a flat ``key=value`` file (``#`` comments)
 overridable by flags; unknown keys are errors.  Exit codes are stable
 for scripting: 0 success, 1 usage/config error, 2 data error,
-3 numerical failure.
+3 numerical failure.  Every command runs under ``raise_float_errors``,
+so an overflow or invalid operation exits 3 where it happens.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ecgfusion import analysis, data, sigproc, training
-from ecgfusion.errors import ConfigError, DataError, NumericalError
+from ecgfusion.errors import ConfigError, DataError, NumericalError, raise_float_errors
 from ecgfusion.model import (
     EcgTransformer,
     FUSION_MODES,
@@ -289,11 +290,9 @@ def cmd_predict(args) -> int:
     config, params, _ = load_checkpoint(ckpt_path)
     record = _record_for_inference(args, config)
     model = EcgTransformer(config, params=params)
-    probs, _ = model.forward(record, train=False)
-    if not np.isfinite(probs.data).all():
-        raise NumericalError(f"non-finite probabilities for record {record.record_id!r}")
+    probs, _ = training.score(model, record)
     flagged = []
-    for name, p in zip(data.CLASS_NAMES, probs.data):
+    for name, p in zip(data.CLASS_NAMES, probs):
         marker = ""
         if p > 0.5:
             marker = "  <-- flagged"
@@ -362,10 +361,7 @@ def cmd_attention_map(args) -> int:
     config, params, _ = load_checkpoint(ckpt_path)
     record = _record_for_inference(args, config)
     model = EcgTransformer(config, params=params)
-    try:
-        heatmap = analysis.attention_heatmap(model, record, args.layer)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    heatmap = analysis.attention_heatmap(model, record, args.layer)
     out_dir = Path(args.out_dir or "heatmaps")
     base = out_dir / f"attention_{record.record_id}_layer{args.layer}"
     analysis.export_heatmap(heatmap, base)
@@ -493,14 +489,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with raise_float_errors():
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

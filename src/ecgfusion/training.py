@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ecgfusion import autodiff as ad
 from ecgfusion.autodiff import Tape, Tensor, backward, bce_with_logits
 from ecgfusion.data import LoadedRecord
-from ecgfusion.errors import ConfigError, NumericalError
+from ecgfusion.errors import ConfigError, NumericalError, raise_float_errors
 from ecgfusion.model import EcgTransformer, copy_params, zero_grads
 
 __all__ = [
@@ -22,6 +20,7 @@ __all__ = [
     "adam_step",
     "accuracy",
     "train_epoch",
+    "score",
     "evaluate",
     "fit_with_early_stop",
     "write_history",
@@ -129,7 +128,15 @@ def train_epoch(
 ) -> tuple[float, float]:
     """One seeded-shuffle pass: forward/backward/Adam per batch (the last
     partial batch is trained too).  Returns (mean loss, accuracy) over the
-    split, both measured in training mode as the epoch runs."""
+    split, both measured in training mode as the epoch runs.
+
+    Each record runs forward and backward on its own tape, so a step holds
+    one record's forward state at a time.  A record's loss is its share of
+    the batch mean, and the per-record gradients are added last record
+    first, the order one reversed tape over the whole batch adds them in,
+    so the batch gradient Adam gets (and leaves in ``.grad``) is bit for
+    bit that of the batch's mean loss.
+    """
     n = len(split)
     if n == 0:
         raise ValueError("train_epoch: empty split")
@@ -138,41 +145,54 @@ def train_epoch(
     hits = 0.0
     for batch_no, idx in enumerate(_batches(n, config.batch_size, order)):
         records = [split[i] for i in idx]
-        zero_grads(model.params)
-        with Tape() as tape:
-            probs_rows = []
-            logit_rows = []
-            for rec in records:
+        count = len(records) * model.config.n_classes
+        record_grads = []
+        probs_rows = []
+        batch_loss = 0.0
+        for rec in records:
+            with Tape() as tape:
                 probs, logits = model.forward(rec, train=True)
-                probs_rows.append(probs.data)
-                logit_rows.append(logits)
-            targets = np.stack([rec.labels for rec in records])
-            loss = bce_with_logits(ad.concat(logit_rows, axis=0), targets)
-        if not np.isfinite(loss.item()):
-            raise NumericalError(f"non-finite loss in batch {batch_no}")
-        backward(loss, tape)
-        grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+                loss = bce_with_logits(logits, rec.labels.reshape(logits.shape), count)
+            if not np.isfinite(loss.item()):
+                raise NumericalError(f"non-finite loss in batch {batch_no}")
+            zero_grads(model.params)
+            backward(loss, tape)
+            record_grads.append({name: t.grad for name, t in model.params.items() if t.grad is not None})
+            batch_loss += loss.item()
+            probs_rows.append(probs.data)
+        grads = record_grads.pop()  # the last record's, also held in .grad
+        while record_grads:
+            for name, g in record_grads.pop().items():
+                grads[name] += g
         adam_step(model.params, grads, state, config)
-        total_loss += loss.item() * len(records)
-        hits += accuracy(np.stack(probs_rows), targets) * len(records)
+        total_loss += batch_loss * len(records)
+        hits += accuracy(np.stack(probs_rows), np.stack([rec.labels for rec in records])) * len(records)
     return total_loss / n, hits / n
+
+
+def score(model: EcgTransformer, record: LoadedRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode forward of one record: (probabilities, logits row).
+
+    Runs under ``raise_float_errors``, so an overflow or invalid operation
+    anywhere in the pass raises NumericalError naming the record, as do
+    non-finite probabilities."""
+    with raise_float_errors():
+        try:
+            probs, logits = model.forward(record, train=False)
+        except FloatingPointError as exc:
+            raise NumericalError(f"non-finite probabilities for record {record.record_id!r}: {exc}") from None
+    if not np.isfinite(probs.data).all():
+        raise NumericalError(f"non-finite probabilities for record {record.record_id!r}")
+    return probs.data, logits.data[0]
 
 
 def evaluate(model: EcgTransformer, split: list[LoadedRecord]):
     """Eval-mode pass over a split: (loss, accuracy, per-record probs)."""
     if not split:
         raise ValueError("evaluate: empty split")
-    probs_rows = []
-    logit_rows = []
-    for rec in split:
-        probs, logits = model.forward(rec, train=False)
-        probs_rows.append(probs.data)
-        logit_rows.append(logits.data[0])
-    probs_mat = np.stack(probs_rows)
-    bad = np.flatnonzero(~np.isfinite(probs_mat).all(axis=1))
-    if bad.size:
-        raise NumericalError(f"non-finite probabilities for record {split[bad[0]].record_id!r}")
-    logits_mat = np.stack(logit_rows)
+    scored = [score(model, rec) for rec in split]
+    probs_mat = np.stack([probs for probs, _ in scored])
+    logits_mat = np.stack([logits for _, logits in scored])
     targets = np.stack([rec.labels for rec in split])
     loss = bce_with_logits(Tensor(logits_mat), targets).item()
     return loss, accuracy(probs_mat, targets), probs_mat
@@ -197,8 +217,9 @@ def fit_with_early_stop(
     best_params = copy_params(model.params)
     for epoch in range(1, config.max_epochs + 1):
         try:
-            train_loss, train_acc = train_epoch(model, train_split, state, config)
-        except NumericalError as exc:
+            with raise_float_errors():
+                train_loss, train_acc = train_epoch(model, train_split, state, config)
+        except (NumericalError, FloatingPointError) as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from None
         val_loss, val_acc, _ = evaluate(model, val_split)
         stats = EpochStats(

@@ -1,16 +1,21 @@
 """End-to-end tests of the command-line surface and its file formats."""
 
 import argparse
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ecgfusion
 from ecgfusion import data
 from ecgfusion.cli import CHECKPOINT_EXTRAS, SCHEMA, build_parser, main, parse_config_file
 from ecgfusion.errors import ConfigError
-from ecgfusion.model import ModelConfig, load_checkpoint, save_checkpoint
+from ecgfusion.model import EcgTransformer, ModelConfig, load_checkpoint, save_checkpoint
 
 TINY_FLAGS = [
     "--d-model", "8",
@@ -439,6 +444,47 @@ class TestCheckpointValues:
         rc, err = self.run(command, bad, workspace, capsys)
         assert rc == 3
         assert err.startswith("numerical failure:") and "non-finite probabilities" in err
+
+
+class TestFloatingPointBoundary:
+    """A finite checkpoint whose forward overflows exits 3 at the first
+    faulting operation, with one line on stderr and no numpy warning."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, workspace, tmp_path_factory):
+        config = ModelConfig(
+            d_model=8, n_heads=2, n_encoder_layers=1, n_decoder_layers=1,
+            feedforward_dim=32, fusion_mode="waveform_only",
+        )
+        params = EcgTransformer(config, seed=0).params
+        params["enc0.attn.wq"].data[...] = 1e308
+        path = tmp_path_factory.mktemp("overflow") / "checkpoint.bin"
+        save_checkpoint(path, config, params, {"manifest": str(workspace / "cur" / "manifest.csv")})
+        return path
+
+    def run_cli(self, *argv, cwd):
+        # a fresh interpreter that prints every RuntimeWarning, as a user sees it
+        env = dict(os.environ, PYTHONPATH=str(Path(ecgfusion.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-m", "ecgfusion.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+        )
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "attention-map"])
+    def test_exits_3_with_one_line(self, command, overflowing, workspace, tmp_path):
+        wf = sorted((workspace / "cur" / "clean").glob("*.f32"))[0]
+        args = {
+            "predict": ["--waveform", str(wf)],
+            "evaluate": ["--split", "train"],
+            "attention-map": ["--waveform", str(wf), "--out", str(tmp_path / "maps")],
+        }[command]
+        done = self.run_cli(command, "--checkpoint", str(overflowing), *args, cwd=tmp_path)
+        assert done.returncode == 3, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:"), done.stderr
+        assert "overflow" in lines[0]
+        assert "0.5000" not in done.stdout and "accuracy" not in done.stdout
+        assert not (tmp_path / "maps").exists()
 
 
 class TestAblate:

@@ -2,16 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ecgfusion import autodiff as ad
 from ecgfusion import training
-from ecgfusion.autodiff import Tensor, bce_with_logits
+from ecgfusion.autodiff import Tape, Tensor, backward, bce_with_logits
 from ecgfusion.cli import main
 from ecgfusion.data import LoadedRecord, synth_dataset, prepare_records
 from ecgfusion.errors import ConfigError, NumericalError
-from ecgfusion.model import EcgTransformer, ModelConfig
+from ecgfusion.model import EcgTransformer, ModelConfig, zero_grads
 from ecgfusion.training import (
     AdamState,
     EpochStats,
@@ -76,6 +78,39 @@ class TestBce:
         z = rng.normal(size=(8, 5)) * 3
         y = (rng.random((8, 5)) < 0.4).astype(float)
         assert bce_with_logits(Tensor(z), y).item() >= 0.0
+
+    def test_count_gives_share_of_batch_mean(self):
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(4, 5)) * 3
+        y = (rng.random((4, 5)) < 0.4).astype(float)
+        whole = Tensor(z, requires_grad=True)
+        with Tape() as tape:
+            batch = bce_with_logits(whole, y)
+        backward(batch, tape)
+        shares = 0.0
+        for i in range(4):
+            row = Tensor(z[i : i + 1], requires_grad=True)
+            with Tape() as tape:
+                share = bce_with_logits(row, y[i : i + 1], count=z.size)
+            backward(share, tape)
+            # the row's gradient is bit for bit the batch mean's
+            np.testing.assert_array_equal(row.grad, whole.grad[i : i + 1])
+            terms = np.maximum(z[i], 0) - z[i] * y[i] + np.log1p(np.exp(-np.abs(z[i])))
+            assert share.item() == terms.sum() / z.size
+            shares += share.item()
+        assert shares == pytest.approx(batch.item(), rel=1e-15)
+
+    def test_default_count_is_the_mean(self):
+        rng = np.random.default_rng(2)
+        z = rng.normal(size=(3, 5))
+        y = (rng.random((3, 5)) < 0.5).astype(float)
+        terms = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        assert bce_with_logits(Tensor(z), y).item() == terms.mean()
+        assert bce_with_logits(Tensor(z), y, count=z.size).item() == terms.mean()
+
+    def test_count_below_size_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            bce_with_logits(Tensor(np.zeros((2, 5))), np.zeros((2, 5)), count=9)
 
 
 class TestAdam:
@@ -258,6 +293,91 @@ class TestTrainEpoch:
             train_epoch(model, records, state, TrainConfig(learning_rate=0.001))
 
 
+def single_tape_epoch(model, split, state, config):
+    """The batch step before one tape per record, kept as the reference:
+    every record of a batch on one tape and one backward over the batch's
+    mean loss.  Returns (mean loss, a copy of each gradient set Adam got)."""
+    order = model.rng.permutation(len(split))
+    total, steps = 0.0, []
+    for start in range(0, len(split), config.batch_size):
+        records = [split[i] for i in order[start : start + config.batch_size]]
+        zero_grads(model.params)
+        with Tape() as tape:
+            logits = [model.forward(rec, train=True)[1] for rec in records]
+            targets = np.stack([rec.labels for rec in records])
+            loss = bce_with_logits(ad.concat(logits, axis=0), targets)
+        backward(loss, tape)
+        grads = {name: t.grad for name, t in model.params.items() if t.grad is not None}
+        steps.append({name: g.copy() for name, g in grads.items()})
+        adam_step(model.params, grads, state, config)
+        total += loss.item() * len(records)
+    return total / len(split), steps
+
+
+MODES = {
+    "cross_attention": dict(fusion_mode="cross_attention"),
+    "early_concat": dict(fusion_mode="early_concat"),
+    "waveform_only": dict(fusion_mode="waveform_only"),
+    "per_lead_encoders": dict(d_model=24, n_heads=12, per_lead_encoders=True),
+}
+
+
+class TestPerRecordTapes:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_single_tape_batch_bitwise(self, mode, monkeypatch):
+        overrides = dict(dropout=0.3, **MODES[mode])
+        config = TrainConfig(learning_rate=0.01, batch_size=4)
+        records = tiny_records(7, tiny_model(**overrides).config, seed=31)  # batches of 4 and 3
+
+        reference = tiny_model(seed=31, **overrides)
+        ref_state = AdamState(reference.params)
+        ref_losses, ref_steps = [], []
+        for _ in range(2):
+            loss, steps = single_tape_epoch(reference, records, ref_state, config)
+            ref_losses.append(loss)
+            ref_steps += steps
+
+        model = tiny_model(seed=31, **overrides)
+        steps = []
+
+        def recording_adam_step(params, grads, state, cfg):
+            for name, t in params.items():
+                assert t.grad is grads.get(name)  # .grad holds the batch gradient
+            steps.append({name: g.copy() for name, g in grads.items()})
+            adam_step(params, grads, state, cfg)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        state = AdamState(model.params)
+        losses = [train_epoch(model, records, state, config)[0] for _ in range(2)]
+
+        assert len(steps) == len(ref_steps) == 4
+        for got, want in zip(steps, ref_steps):
+            assert got.keys() == want.keys()
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.data, reference.params[name].data, err_msg=name)
+        assert losses == pytest.approx(ref_losses, rel=1e-14)
+
+    def test_batch_step_peak_memory_near_one_record(self):
+        def step_peak(batch_size):
+            model = tiny_model(
+                seed=41, seq_len=250, d_model=32, n_heads=4, n_encoder_layers=2, n_decoder_layers=2
+            )
+            records = tiny_records(batch_size, model.config, seed=41)
+            model.forward(records[0], train=False)  # fills the positional-encoding cache
+            state = AdamState(model.params)
+            tracemalloc.start()
+            try:
+                train_epoch(model, records, state, TrainConfig(batch_size=batch_size))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ratio = step_peak(4) / step_peak(1)
+        assert ratio <= 1.5, ratio
+
+
 class TestEvaluate:
     def test_idempotent(self):
         model = tiny_model(seed=11, dropout=0.4)
@@ -275,6 +395,16 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="'t0'"):
                 evaluate(model, records)
+
+    def test_overflow_inside_training_is_numerical_error(self):
+        # the overflow is raised where it happens, even when the caller
+        # ignores floating-point errors, and not washed out downstream
+        model = tiny_model(seed=12, fusion_mode="waveform_only")
+        records = tiny_records(4, model.config, seed=12)
+        model.params["enc0.attn.wq"].data[...] = 1e308
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="epoch 1: overflow"):
+                fit_with_early_stop(model, records, records, TrainConfig(max_epochs=1))
 
     def test_confident_normal_record_scores_accurate(self):
         probs = np.array([[0.9675, 0.02, 0.03, 0.01, 0.005]])
