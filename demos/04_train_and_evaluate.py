@@ -29,7 +29,7 @@ config = ModelConfig(
     feedforward_dim=96,
 )
 model = EcgTransformer(config, seed=5)
-schedule = TrainConfig(learning_rate=0.001, batch_size=4, max_epochs=18, early_stop_patience=8, seed=5)
+schedule = TrainConfig(learning_rate=0.001, batch_size=4, max_epochs=18, early_stop_patience=8)
 
 best_params, history, best_epoch = fit_with_early_stop(model, parts[0], parts[1], schedule)
 for s in history:

@@ -18,7 +18,7 @@ from ecgfusion.training import TrainConfig, evaluate, fit_with_early_stop
 ds = synth_dataset(n_per_class=60, seed=12, notes_informative=True)
 records = prepare_records(ds)
 parts = split(records, SplitSpec(0.7, 0.15, 0.15, seed=12))
-budget = TrainConfig(learning_rate=0.0005, batch_size=4, max_epochs=3, early_stop_patience=3, seed=12)
+budget = TrainConfig(learning_rate=0.0005, batch_size=4, max_epochs=3, early_stop_patience=3)
 print(f"{len(parts[0])} train / {len(parts[1])} val / {len(parts[2])} test, 3 epochs per mode\n")
 
 print(f"{'mode':<16} {'train':>6} {'val':>6} {'test':>6}   time")

@@ -26,7 +26,6 @@ __all__ = [
     "backward",
     "finite_diff_check",
     "add",
-    "sub",
     "mul",
     "sum_all",
     "matmul",
@@ -51,8 +50,8 @@ class Tensor:
 
     ``grad`` stays ``None`` until ``backward`` reaches this tensor as a
     leaf, and is only ever populated when ``requires_grad`` is set.
-    Gradients accumulate additively across backward calls; use
-    ``zero_grad`` between optimizer steps.
+    Gradients accumulate additively across backward calls; reset them
+    between optimizer steps with ``model.zero_grads``.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -69,9 +68,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -186,12 +182,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, requires_grad=_needs_grad(a, b))
     _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, requires_grad=_needs_grad(a, b))
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
     return out
 
 
@@ -330,15 +320,17 @@ def _softmax_lastaxis_(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization followed by learned gain and shift."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
+    """Per-row standardization followed by learned gain and shift; the
+    variance is floored by ``LAYER_NORM_EPS``."""
     if x.data.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"layer_norm expects (r, c) with c >= 2, got {x.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be positive")
     mu = x.data.mean(axis=1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (x.data - mu) * inv
     out = Tensor(y * gain.data + shift.data, requires_grad=_needs_grad(x, gain, shift))
 
@@ -377,8 +369,9 @@ def dropout(x: Tensor, drop_prob: float, rng: np.random.Generator, train: bool) 
 # convolution and pooling
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of a CxHxW input with FxCxKhxKw kernels plus bias.
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of a CxHxW input with FxCxKhxKw kernels
+    plus bias.
 
     Implemented as im2col + one matrix product; the backward pass scatters
     column gradients back with a loop over the (small) kernel footprint.
@@ -391,15 +384,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
     f, kc, kh, kw = kernels.shape
     if kc != c or bias.shape[0] != f:
         raise ValueError(f"conv2d channel mismatch: input {x.shape}, kernels {kernels.shape}")
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
-    if kh > h + 2 * padding or kw > w + 2 * padding or h_out < 1 or w_out < 1:
+    h_out = h + 2 * padding - kh + 1
+    w_out = w + 2 * padding - kw + 1
+    if h_out < 1 or w_out < 1:
         raise ValueError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]  # (C, H', W', kh, kw)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C, H', W', kh, kw)
     cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h_out * w_out)
     kflat = kernels.data.reshape(f, c * kh * kw)
     out_data = (kflat @ cols + bias.data[:, None]).reshape(f, h_out, w_out)
@@ -414,7 +406,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
             dxp = np.zeros((c, h + 2 * padding, w + 2 * padding))
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
+                    dxp[:, i : i + h_out, j : j + w_out] += dcols[:, i, j]
             dx = dxp[:, padding : padding + h, padding : padding + w] if padding else dxp
         else:
             dx = None
@@ -523,10 +515,9 @@ def bce_with_logits(logits: Tensor, targets, count: Optional[int] = None) -> Ten
     ``count`` (the number of entries in a whole batch) makes this part of
     a batch its share of the batch mean: the gradient each entry gets is
     bit for bit the one the batch's mean loss gives it.  targets must be a
-    {0,1} array (or Tensor) of the same shape; no gradient flows to
-    targets.
+    {0,1} array of the same shape; no gradient flows to targets.
     """
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
     z = logits.data
     if t.shape != z.shape:
         raise ValueError(f"bce_with_logits: logits {z.shape} vs targets {t.shape}")

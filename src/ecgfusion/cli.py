@@ -60,8 +60,12 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     out = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -151,29 +151,40 @@ def write_manifest(path, records: list[RecordMeta]) -> None:
             )
 
 
-def read_manifest(path) -> list[RecordMeta]:
-    path = Path(path)
-    records = []
+def _csv_rows(path):
+    """The rows of a UTF-8 CSV file; a file that is not UTF-8, or that csv
+    cannot parse, raises DataError naming it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise DataError(f"{path}: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            rid, labels_field, note, wf = row
-            codes = [c for c in labels_field.split(";") if c]
-            try:
-                bits = multi_hot(codes)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            records.append(RecordMeta(record_id=rid, labels=bits, note_text=note, waveform_ref=wf))
+            yield from reader
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def read_manifest(path) -> list[RecordMeta]:
+    path = Path(path)
+    records = []
+    rows = _csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty manifest")
+    if header != MANIFEST_HEADER:
+        raise DataError(f"{path}: bad header {header!r}")
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        rid, labels_field, note, wf = row
+        codes = [c for c in labels_field.split(";") if c]
+        try:
+            bits = multi_hot(codes)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        records.append(RecordMeta(record_id=rid, labels=bits, note_text=note, waveform_ref=wf))
     if not records:
         raise DataError(f"{path}: no records")
     return records
@@ -238,7 +249,10 @@ def _load_embeddings_binary(fh, path) -> dict[str, NotesEmbedding]:
         ident = fh.read(id_len)
         if len(ident) != id_len:
             raise DataError(f"{path}: truncated record id")
-        rid = ident.decode("utf-8")
+        try:
+            rid = ident.decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: record id {ident!r} is not UTF-8") from None
         blob = fh.read(vec_bytes)
         if len(blob) != vec_bytes:
             raise DataError(f"{path}: truncated vector for {rid!r}")
@@ -251,20 +265,19 @@ def _load_embeddings_binary(fh, path) -> dict[str, NotesEmbedding]:
 
 def _load_embeddings_csv(path) -> dict[str, NotesEmbedding]:
     out: dict[str, NotesEmbedding] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            rid = row[0]
-            if len(row) - 1 != EMBED_DIM:
-                raise DataError(f"{path}:{lineno}: expected {EMBED_DIM} values, got {len(row) - 1}")
-            try:
-                vec = np.array([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if rid in out:
-                raise DataError(f"{path}:{lineno}: duplicate record_id {rid!r}")
-            out[rid] = NotesEmbedding(vector=vec, record_id=rid)
+    for lineno, row in enumerate(_csv_rows(path), start=1):
+        if not row:
+            continue
+        rid = row[0]
+        if len(row) - 1 != EMBED_DIM:
+            raise DataError(f"{path}:{lineno}: expected {EMBED_DIM} values, got {len(row) - 1}")
+        try:
+            vec = np.array([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if rid in out:
+            raise DataError(f"{path}:{lineno}: duplicate record_id {rid!r}")
+        out[rid] = NotesEmbedding(vector=vec, record_id=rid)
     if not out:
         raise DataError(f"{path}: no embeddings")
     return out
@@ -387,19 +400,18 @@ class LoadedRecord:
     embedding: Optional[np.ndarray] = None  # 768 floats
 
 
-def prepare_records(ds: SynthDataset, use_embeddings: bool = True) -> list[LoadedRecord]:
+def prepare_records(ds: SynthDataset) -> list[LoadedRecord]:
     """Run the waveform cleanup over a synthetic dataset in memory."""
     out = []
     for r in ds.records:
         raw = sigproc.RawEcg(leads=ds.waveforms[r.record_id], record_id=r.record_id)
         clean = sigproc.preprocess_record(raw)
-        emb = ds.embeddings[r.record_id].vector if use_embeddings else None
         out.append(
             LoadedRecord(
                 record_id=r.record_id,
                 waveform=clean.leads,
                 labels=r.labels.astype(np.float64),
-                embedding=emb,
+                embedding=ds.embeddings[r.record_id].vector,
             )
         )
     return out

@@ -60,6 +60,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self):
+        for name in ("n_heads", "n_encoder_layers", "n_decoder_layers", "feedforward_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.fusion_mode not in FUSION_MODES:
@@ -379,8 +382,7 @@ def _encode_per_lead(ecg: Tensor, params, config, train, rng, cache):
     mv_weights = []
     pe = Tensor(positional_encoding(config.seq_len, pd))
     for lead in range(config.n_leads):
-        seq = ad.reshape(ecg, (config.n_leads, config.seq_len))
-        lane = Tensor(seq.data[lead : lead + 1].T)  # constant input slice
+        lane = Tensor(ecg.data[lead : lead + 1].T)  # constant input slice
         tokens = _linear(lane, params, f"lead{lead}.token")
         x = ad.add(tokens, pe)
         for i in range(config.n_encoder_layers):
@@ -408,13 +410,13 @@ def forward(
 ) -> tuple[Tensor, Tensor]:
     """Full model pass; returns (probabilities[5], logits[1x5]).
 
-    ``ecg`` is a 12x250 array or Tensor; ``notes`` is a 768-vector (or
-    None in waveform-only mode).  ``rng`` is required when training with
+    ``ecg`` is a 12x250 array; ``notes`` is a 768-vector (or None in
+    waveform-only mode).  ``rng`` is required when training with
     dropout enabled.
     """
     if train_mode and config.dropout > 0.0 and rng is None:
         raise ConfigError("training with dropout needs an rng")
-    x = ecg if isinstance(ecg, Tensor) else Tensor(np.asarray(ecg, dtype=np.float64))
+    x = Tensor(ecg)
     if x.shape != (config.n_leads, config.seq_len):
         raise DataError(f"waveform shape {x.shape}, expected {(config.n_leads, config.seq_len)}")
 
@@ -429,7 +431,7 @@ def forward(
     else:
         if notes is None:
             raise DataError(f"fusion mode {mode!r} needs a notes embedding")
-        emb = notes if isinstance(notes, Tensor) else Tensor(np.asarray(notes, dtype=np.float64))
+        emb = Tensor(notes)
         if emb.shape != (config.notes_dim,):
             raise DataError(f"notes shape {emb.shape}, expected ({config.notes_dim},)")
         notes_block = notes_adapt(ad.reshape(emb, (1, config.notes_dim)), params, config.seq_len)

@@ -46,7 +46,6 @@ class RawEcg:
 
     leads: np.ndarray
     record_id: str
-    sample_rate: float = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         self.leads = np.asarray(self.leads, dtype=np.float64)
@@ -84,7 +83,6 @@ class WaveletCoeffs:
 
     approx: np.ndarray
     details: list = field(default_factory=list)
-    levels: int = 0
     original_length: int = 0
 
 
@@ -130,16 +128,17 @@ def dwt_db4(signal: np.ndarray, levels: int) -> WaveletCoeffs:
     for _ in range(levels):
         details.append(_analyze(approx, DEC_HI))
         approx = _analyze(approx, DEC_LO)
-    return WaveletCoeffs(approx=approx, details=details, levels=levels, original_length=n)
+    return WaveletCoeffs(approx=approx, details=details, original_length=n)
 
 
 def idwt_db4(coeffs: WaveletCoeffs) -> np.ndarray:
-    """Synthesis filter bank inverting ``dwt_db4``."""
-    lengths = _level_lengths(coeffs.original_length, coeffs.levels)
-    if len(coeffs.details) != coeffs.levels or len(coeffs.approx) != lengths[-1]:
+    """Synthesis filter bank inverting ``dwt_db4``; one level per detail band."""
+    levels = len(coeffs.details)
+    lengths = _level_lengths(coeffs.original_length, levels)
+    if len(coeffs.approx) != lengths[-1]:
         raise DataError("wavelet coefficients inconsistent with original_length")
     y = coeffs.approx
-    for level in range(coeffs.levels - 1, -1, -1):
+    for level in range(levels - 1, -1, -1):
         cd = coeffs.details[level]
         if len(cd) != lengths[level + 1]:
             raise DataError(

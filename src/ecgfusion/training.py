@@ -27,6 +27,9 @@ __all__ = [
     "read_history",
 ]
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -35,20 +38,11 @@ class TrainConfig:
     max_epochs: int = 40
     early_stop_patience: int = 5
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         # zero is allowed so a no-op pass can be used as a diagnostic
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigError(f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ConfigError(f"adam_eps must be finite and positive, got {self.adam_eps}")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -83,7 +77,7 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place."""
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -98,7 +92,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        p.data -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:

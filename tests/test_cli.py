@@ -16,6 +16,7 @@ from ecgfusion import data
 from ecgfusion.cli import CHECKPOINT_EXTRAS, SCHEMA, build_parser, main, parse_config_file
 from ecgfusion.errors import ConfigError
 from ecgfusion.model import EcgTransformer, ModelConfig, load_checkpoint, save_checkpoint
+from ecgfusion.training import TrainConfig
 
 TINY_FLAGS = [
     "--d-model", "8",
@@ -93,6 +94,19 @@ class TestConfigFile:
         from_flag = capsys.readouterr().out.splitlines()[0]
         assert from_file.split(" -> ")[0] == from_flag.split(" -> ")[0]
         assert not from_file.startswith("curated 16 of 16")
+
+    def test_option_set_is_fixed(self):
+        # a new setting must show up here as a visible test edit
+        assert set(SCHEMA) == {
+            "d_model", "n_heads", "n_encoder_layers", "n_decoder_layers", "dropout",
+            "fusion_mode", "per_lead_encoders", "feedforward_dim",
+            "learning_rate", "batch_size", "max_epochs", "early_stop_patience", "seed",
+            "train_fraction", "val_fraction", "test_fraction",
+            "manifest", "embeddings", "out_dir", "per_class_cap",
+        }
+        assert [f.name for f in fields(TrainConfig)] == [
+            "learning_rate", "batch_size", "max_epochs", "early_stop_patience", "seed",
+        ]
 
     @pytest.mark.parametrize("command", ["preprocess", "train", "ablate"])
     def test_every_flag_sets_a_schema_key(self, command):
@@ -209,6 +223,41 @@ class TestTrain:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--heads", "0"),
+            ("--heads", "-1"),
+            ("--feedforward-dim", "-1"),
+            ("--feedforward-dim", "0"),
+            ("--encoder-layers", "-1"),
+            ("--decoder-layers", "-1"),
+        ],
+    )
+    def test_size_that_cannot_build_a_model_exits_1(self, flag, value, workspace, tmp_path, capsys):
+        rc = main(
+            [
+                "train",
+                "--manifest", str(workspace / "cur" / "manifest.csv"),
+                "--embeddings", str(workspace / "raw" / "embeddings.bin"),
+                "--out", str(tmp_path / "run"),
+                *TINY_FLAGS,
+                flag, value,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["n_heads", "n_encoder_layers", "n_decoder_layers", "feedforward_dim"])
+    def test_size_key_below_one_in_config_exits_1(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=0\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be >= 1" in err and "Traceback" not in err
 
     def test_same_seed_identical_history(self, workspace, tmp_path):
         args = [
@@ -371,6 +420,14 @@ class TestCorruptCheckpoint:
         assert err.startswith("data error:") and "Traceback" not in err
         return err
 
+    @pytest.mark.parametrize("key", ["n_heads", "n_encoder_layers", "n_decoder_layers", "feedforward_dim"])
+    def test_header_size_below_one(self, key, workspace, tmp_path, capsys):
+        config, params, extra = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        setattr(config, key, 0)  # written verbatim into the header
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, config, params, extra)
+        assert f"{key} must be >= 1" in self.predict(workspace, bad, capsys)
+
     def test_cut_at_every_field(self, workspace, tmp_path, capsys):
         blob = (workspace / "run" / "checkpoint.bin").read_bytes()
         bad = tmp_path / "cut.bin"
@@ -384,6 +441,65 @@ class TestCorruptCheckpoint:
         bad = tmp_path / "long.bin"
         bad.write_bytes((workspace / "run" / "checkpoint.bin").read_bytes() + extra)
         self.predict(workspace, bad, capsys)
+
+
+class TestUndecodableText:
+    """Text that is not UTF-8, or that csv cannot parse, ends in the
+    documented exit code with one line naming the file."""
+
+    def run(self, argv, code, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == code, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        return err
+
+    def train_args(self, workspace, tmp_path, manifest=None, embeddings=None):
+        return [
+            "train",
+            "--manifest", str(manifest or workspace / "cur" / "manifest.csv"),
+            "--embeddings", str(embeddings or workspace / "raw" / "embeddings.bin"),
+            "--out", str(tmp_path / "run"),
+            *TINY_FLAGS,
+        ]
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_manifest_not_utf8(self, command, workspace, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_bytes(b'record_id,labels,note,waveform_path\n"a","NORM","caf\xe9","a.f32"\n')
+        if command == "preprocess":
+            argv = ["preprocess", "--manifest", str(bad), "--out", str(tmp_path / "run")]
+        else:
+            argv = self.train_args(workspace, tmp_path, manifest=bad)
+        err = self.run(argv, 2, capsys)
+        assert f"{bad}: not UTF-8" in err
+
+    def test_manifest_field_over_csv_limit(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text(f'record_id,labels,note,waveform_path\n"a","NORM","{"x" * 131073}","a.f32"\n')
+        err = self.run(["preprocess", "--manifest", str(bad), "--out", str(tmp_path / "o")], 2, capsys)
+        assert str(bad) in err and "field limit" in err
+
+    def test_embeddings_csv_not_utf8(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "emb.csv"
+        bad.write_bytes(b"syn\xff0000," + b",".join([b"0.0"] * data.EMBED_DIM) + b"\n")
+        err = self.run(self.train_args(workspace, tmp_path, embeddings=bad), 2, capsys)
+        assert f"{bad}: not UTF-8" in err
+
+    def test_binary_embeddings_record_id_not_utf8(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "emb.bin"
+        ident = b"syn\xff"
+        bad.write_bytes(
+            data.EMBED_MAGIC + struct.pack(">H", len(ident)) + ident + bytes(4 * data.EMBED_DIM)
+        )
+        err = self.run(self.train_args(workspace, tmp_path, embeddings=bad), 2, capsys)
+        assert str(bad) in err and "not UTF-8" in err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"learning_rate=0.01  # caf\xe9\n")
+        err = self.run(["train", "--config", str(cfg), "--out", str(tmp_path / "run")], 1, capsys)
+        assert err.startswith("config error:") and f"{cfg}: not UTF-8" in err
 
 
 class TestNonFiniteWaveform:

@@ -119,7 +119,6 @@ class TestIdwt:
         doubled = WaveletCoeffs(
             approx=2 * coeffs.approx,
             details=[2 * d for d in coeffs.details],
-            levels=coeffs.levels,
             original_length=coeffs.original_length,
         )
         np.testing.assert_allclose(idwt_db4(doubled), 2 * idwt_db4(coeffs), atol=1e-10)
