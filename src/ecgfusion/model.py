@@ -584,10 +584,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor], dict]:
     if expected != got:
         missing = sorted(set(expected) - set(got))
         surplus = sorted(set(got) - set(expected))
-        raise DataError(
-            f"{path}: parameters do not match config "
-            f"(missing {missing[:3]}, unexpected {surplus[:3]})"
-        )
+        if missing or surplus:
+            detail = f"missing {missing[:3]}, unexpected {surplus[:3]}"
+        else:
+            name = next(k for k in expected if expected[k] != got[k])
+            detail = f"{name!r} has shape {got[name]}, config expects {expected[name]}"
+        raise DataError(f"{path}: parameters do not match config ({detail})")
     return config, params, extra
 
 

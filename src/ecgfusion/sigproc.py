@@ -3,6 +3,11 @@
 A raw 12x1000 record (100 Hz) is cut to its first quarter, each lead is
 denoised by soft-thresholding the detail bands of a 4-level Daubechies-4
 decomposition, and finally standardized to zero mean / unit variance.
+
+The transforms, thresholds and standardization take one lead (1-D) or a
+rows x samples block (2-D) and work along the last axis, so a record is
+cleaned with one call each.  Every row comes out bitwise equal to cleaning
+that lead on its own with np.pad and np.convolve.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ecgfusion.errors import DataError
 
@@ -79,7 +85,7 @@ class CleanEcg:
 @dataclass
 class WaveletCoeffs:
     """Multi-level decomposition: coarsest approximation plus detail
-    bands ordered finest first."""
+    bands ordered finest first; 2-D bands hold one row per lead."""
 
     approx: np.ndarray
     details: list = field(default_factory=list)
@@ -94,31 +100,63 @@ def _level_lengths(n: int, levels: int) -> list[int]:
     return out
 
 
-def _analyze(x: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    # symmetric (half-point) extension, full convolution, dyadic downsample
-    ext = np.pad(x, FILTER_LEN - 1, mode="symmetric")
-    full = np.convolve(ext, filt)
-    seg = full[FILTER_LEN - 1 : FILTER_LEN - 1 + len(x) + FILTER_LEN - 1]
-    return seg[1::2]
+def _rows(x, what: str) -> np.ndarray:
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim not in (1, 2):
+        raise DataError(f"{what} must be one lead (1-D) or rows x samples (2-D), got {a.ndim}-D")
+    return a
+
+
+# Convolving with a filter is correlating with it reversed, and the
+# reversed db4 filters are the other pair (DEC_LO[::-1] == REC_LO): analysis
+# correlates with REC_HI and REC_LO, synthesis with these two rows.
+_SYNTHESIS_TAPS = np.stack([DEC_LO, DEC_HI])  # approximation, detail
+
+
+def _windows(x: np.ndarray, count: int, step: int) -> np.ndarray:
+    # ``count`` length-8 windows along the last axis, ``step`` apart.  Kept
+    # as a strided view, matmul adds the 8 products in tap order, as
+    # np.convolve does where the filter fully overlaps; a contiguous copy
+    # would go to BLAS gemv, which may add them in another order.
+    s = x.strides[-1]
+    return as_strided(
+        x, x.shape[:-1] + (count, FILTER_LEN), x.strides[:-1] + (step * s, s), writeable=False
+    )
+
+
+def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis level along the last axis: (detail, approximation)."""
+    # symmetric (half-point) extension by 7 samples, full convolution,
+    # then every second output from the 9th on
+    ext = np.concatenate([x[..., FILTER_LEN - 2 :: -1], x, x[..., : -FILTER_LEN : -1]], axis=-1)
+    win = _windows(ext[..., 1:], (x.shape[-1] + FILTER_LEN - 1) // 2, 2)
+    return win @ REC_HI, win @ REC_LO
 
 
 def _synthesize(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
-    o = len(ca)
-    up_a = np.zeros(2 * o - 1)
-    up_a[::2] = ca
-    up_d = np.zeros(2 * o - 1)
-    up_d[::2] = cd
-    rec = np.convolve(up_a, REC_LO) + np.convolve(up_d, REC_HI)
-    y = rec[FILTER_LEN - 2 : 2 * o]
-    if len(y) < out_len:
-        raise DataError(f"inconsistent wavelet lengths: can rebuild {len(y)}, need {out_len}")
-    return y[:out_len]
+    """One synthesis level: outputs 6 .. 6+out_len-1 of the full
+    convolutions of the zero-upsampled bands with REC_LO and REC_HI."""
+    o = ca.shape[-1]
+    # both bands upsampled (coefficients at the odd positions) with one zero
+    # of padding at each end, so output j correlates up[..., j : j+8]
+    up = np.zeros(ca.shape[:-1] + (2, 2 * o + 1))
+    up[..., 0, 1::2] = ca
+    up[..., 1, 1::2] = cd
+    parts = (_windows(up, out_len, 1) @ _SYNTHESIS_TAPS[..., None])[..., 0]
+    # Where the filter only partly overlaps the band (the first output, and
+    # the last when out_len reaches the convolution's end) np.convolve takes
+    # a BLAS dot over the overlap; vecdot with contiguous taps does the same.
+    parts[..., 0] = np.vecdot(up[..., 1:FILTER_LEN], _SYNTHESIS_TAPS[:, 1:])
+    if out_len == 2 * o - FILTER_LEN + 2:
+        parts[..., -1] = np.vecdot(up[..., 2 * o + 1 - FILTER_LEN : 2 * o], _SYNTHESIS_TAPS[:, :-1])
+    return parts[..., 0, :] + parts[..., 1, :]
 
 
 def dwt_db4(signal: np.ndarray, levels: int) -> WaveletCoeffs:
-    """Cascaded db4 analysis with symmetric boundary extension."""
-    x = np.asarray(signal, dtype=np.float64)
-    n = len(x)
+    """Cascaded db4 analysis with symmetric boundary extension, along the
+    last axis of one lead or of a rows x samples block."""
+    x = _rows(signal, "signal")
+    n = x.shape[-1]
     if n < FILTER_LEN:
         raise DataError(f"signal of length {n} shorter than filter ({FILTER_LEN})")
     if levels < 1 or 2**levels > n:
@@ -126,8 +164,8 @@ def dwt_db4(signal: np.ndarray, levels: int) -> WaveletCoeffs:
     details = []
     approx = x
     for _ in range(levels):
-        details.append(_analyze(approx, DEC_HI))
-        approx = _analyze(approx, DEC_LO)
+        detail, approx = _analyze(approx)
+        details.append(detail)
     return WaveletCoeffs(approx=approx, details=details, original_length=n)
 
 
@@ -135,35 +173,43 @@ def idwt_db4(coeffs: WaveletCoeffs) -> np.ndarray:
     """Synthesis filter bank inverting ``dwt_db4``; one level per detail band."""
     levels = len(coeffs.details)
     lengths = _level_lengths(coeffs.original_length, levels)
-    if len(coeffs.approx) != lengths[-1]:
+    y = _rows(coeffs.approx, "approximation band")
+    if y.shape[-1] != lengths[-1]:
         raise DataError("wavelet coefficients inconsistent with original_length")
-    y = coeffs.approx
     for level in range(levels - 1, -1, -1):
-        cd = coeffs.details[level]
-        if len(cd) != lengths[level + 1]:
+        cd = _rows(coeffs.details[level], f"detail band {level}")
+        if cd.shape[:-1] != y.shape[:-1]:
+            raise DataError(f"detail band {level} has shape {cd.shape}, approximation {y.shape}")
+        if cd.shape[-1] != lengths[level + 1]:
             raise DataError(
-                f"detail band {level} has length {len(cd)}, expected {lengths[level + 1]}"
+                f"detail band {level} has length {cd.shape[-1]}, expected {lengths[level + 1]}"
             )
         y = _synthesize(y, cd, lengths[level])
     return y
 
 
-def soft_threshold(coeffs: np.ndarray, t: float) -> np.ndarray:
-    """Shrink toward zero: sign(x) * max(|x| - t, 0)."""
-    if t < 0:
-        raise ValueError(f"threshold must be nonnegative, got {t}")
+def soft_threshold(coeffs: np.ndarray, t) -> np.ndarray:
+    """Shrink toward zero: sign(x) * max(|x| - t, 0).  ``t`` is one
+    threshold, or an array of one per row of ``coeffs``."""
     c = np.asarray(coeffs, dtype=np.float64)
-    return np.sign(c) * np.maximum(np.abs(c) - t, 0.0)
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim and t.shape != c.shape[:-1]:
+        raise ValueError(f"thresholds of shape {t.shape} do not fit coefficients of shape {c.shape}")
+    if (t < 0).any():
+        raise ValueError(f"threshold must be nonnegative, got {t.min()}")
+    return np.sign(c) * np.maximum(np.abs(c) - t[..., None], 0.0)
 
 
-def compute_threshold(finest_details: np.ndarray, n: int) -> float:
+def compute_threshold(finest_details: np.ndarray, n: int) -> float | np.ndarray:
     """Universal threshold with the median-absolute-deviation noise
-    estimate: (median|d| / 0.6745) * sqrt(2 ln n)."""
+    estimate: (median|d| / 0.6745) * sqrt(2 ln n).  A 2-D band gives one
+    threshold per row."""
     d = np.asarray(finest_details, dtype=np.float64)
     if d.size == 0:
         raise ValueError("cannot estimate a threshold from an empty band")
-    sigma = np.median(np.abs(d)) / 0.6745
-    return float(sigma * math.sqrt(2.0 * math.log(n)))
+    sigma = np.median(np.abs(d), axis=-1) / 0.6745
+    t = sigma * math.sqrt(2.0 * math.log(n))
+    return float(t) if d.ndim == 1 else t
 
 
 DENOISE_LEVELS = 4
@@ -171,21 +217,22 @@ DENOISE_LEVELS = 4
 
 def denoise(lead: np.ndarray) -> np.ndarray:
     """Soft-threshold every detail band (threshold estimated from the
-    finest band), leaving the approximation untouched."""
+    finest band), leaving the approximation untouched.  A 2-D block is
+    denoised row by row, each row with its own threshold."""
     x = np.asarray(lead, dtype=np.float64)
     coeffs = dwt_db4(x, DENOISE_LEVELS)
-    t = compute_threshold(coeffs.details[0], len(x))
+    t = compute_threshold(coeffs.details[0], x.shape[-1])
     coeffs.details = [soft_threshold(d, t) for d in coeffs.details]
     return idwt_db4(coeffs)
 
 
 def standardize(lead: np.ndarray) -> np.ndarray:
-    """Zero mean, unit variance per lead; flat leads hit the variance
-    floor and come out all zero."""
+    """Zero mean, unit variance per lead (per row of a 2-D block); flat
+    leads hit the variance floor and come out all zero."""
     x = np.asarray(lead, dtype=np.float64)
-    mu = x.mean()
-    var = x.var()
-    return (x - mu) / math.sqrt(max(var, 1e-8))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(np.maximum(var, 1e-8))
 
 
 def truncate_quarter(raw: RawEcg) -> np.ndarray:
@@ -196,7 +243,4 @@ def truncate_quarter(raw: RawEcg) -> np.ndarray:
 def preprocess_record(raw: RawEcg) -> CleanEcg:
     """Full cleanup for one record: truncate, denoise, standardize."""
     block = truncate_quarter(raw)
-    out = np.empty_like(block)
-    for i in range(N_LEADS):
-        out[i] = standardize(denoise(block[i]))
-    return CleanEcg(leads=out, record_id=raw.record_id)
+    return CleanEcg(leads=standardize(denoise(block)), record_id=raw.record_id)

@@ -428,6 +428,16 @@ class TestCorruptCheckpoint:
         save_checkpoint(bad, config, params, extra)
         assert f"{key} must be >= 1" in self.predict(workspace, bad, capsys)
 
+    def test_header_disagrees_with_parameter_shapes(self, workspace, tmp_path, capsys):
+        config, params, extra = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        assert config.feedforward_dim == 32
+        config.feedforward_dim = 16  # header now disagrees with the saved blobs
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, config, params, extra)
+        err = self.predict(workspace, bad, capsys)
+        assert len(err.splitlines()) == 1
+        assert "'enc0.ff1.w' has shape (8, 32), config expects (8, 16)" in err
+
     def test_cut_at_every_field(self, workspace, tmp_path, capsys):
         blob = (workspace / "run" / "checkpoint.bin").read_bytes()
         bad = tmp_path / "cut.bin"

@@ -2,7 +2,8 @@
 
 The wavelet transform is checked against a brute-force filter-bank
 oracle (explicit index reflection, scalar loops) that shares no code
-with the production path.
+with the production path.  The row-block code is also checked bitwise
+against the per-lead ``np.pad`` + ``np.convolve`` pipeline it replaced.
 """
 
 import math
@@ -10,12 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from ecgfusion import sigproc
+from ecgfusion import data, sigproc
 from ecgfusion.errors import DataError
 from ecgfusion.sigproc import (
     CleanEcg,
     DEC_HI,
     DEC_LO,
+    FILTER_LEN,
+    REC_HI,
+    REC_LO,
     RawEcg,
     WaveletCoeffs,
     compute_threshold,
@@ -48,6 +52,87 @@ def naive_dwt_band(x, filt):
             acc += filt[j] * sample(2 * k + 1 - j)
         out.append(acc)
     return np.array(out)
+
+
+# Per-lead reference: the cleanup one lead at a time, as np.pad and
+# np.convolve compute it.  The row-block code must match it bitwise.
+
+
+def lead_analyze(x, filt):
+    ext = np.pad(x, FILTER_LEN - 1, mode="symmetric")
+    full = np.convolve(ext, filt)
+    seg = full[FILTER_LEN - 1 : FILTER_LEN - 1 + len(x) + FILTER_LEN - 1]
+    return seg[1::2]
+
+
+def lead_synthesize(ca, cd, out_len):
+    o = len(ca)
+    up_a = np.zeros(2 * o - 1)
+    up_a[::2] = ca
+    up_d = np.zeros(2 * o - 1)
+    up_d[::2] = cd
+    rec = np.convolve(up_a, REC_LO) + np.convolve(up_d, REC_HI)
+    return rec[FILTER_LEN - 2 : 2 * o][:out_len]
+
+
+def lead_dwt(x, levels):
+    details, approx = [], x
+    for _ in range(levels):
+        details.append(lead_analyze(approx, DEC_HI))
+        approx = lead_analyze(approx, DEC_LO)
+    return approx, details
+
+
+def lead_idwt(approx, details, n):
+    lengths = [n]
+    for _ in details:
+        lengths.append((lengths[-1] + FILTER_LEN - 1) // 2)
+    y = approx
+    for level in range(len(details) - 1, -1, -1):
+        y = lead_synthesize(y, details[level], lengths[level])
+    return y
+
+
+def lead_threshold(finest, n):
+    return float(np.median(np.abs(finest)) / 0.6745 * math.sqrt(2.0 * math.log(n)))
+
+
+def lead_soft(d, t):
+    return np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
+
+
+def lead_denoise(x):
+    approx, details = lead_dwt(x, 4)
+    t = lead_threshold(details[0], len(x))
+    return lead_idwt(approx, [lead_soft(d, t) for d in details], len(x))
+
+
+def lead_standardize(x):
+    return (x - x.mean()) / math.sqrt(max(x.var(), 1e-8))
+
+
+def lead_preprocess(leads):
+    return np.stack([lead_standardize(lead_denoise(lead[:250])) for lead in leads])
+
+
+def oracle_corpus():
+    """Synthetic records at 20 seeds, random records across 12 decades of
+    scale with offsets, and the degenerate records."""
+    for seed in range(20):
+        ds = data.synth_dataset(3, seed=seed)
+        for rid in sorted(ds.waveforms):
+            yield f"synth{seed}/{rid}", ds.waveforms[rid]
+    rng = np.random.default_rng(1101)
+    for i in range(300):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        yield f"random{i}", scale * (rng.normal(size=(12, 1000)) + 10.0 * rng.normal())
+    flat = rng.normal(size=(12, 1000))
+    flat[3] = 2.5
+    yield "one flat lead", flat
+    yield "all zero", np.zeros((12, 1000))
+    spike = np.zeros((12, 1000))
+    spike[:, 17] = 5.0
+    yield "single spike", spike
 
 
 def sine(freq_hz, n=250, rate=100.0):
@@ -101,6 +186,18 @@ class TestDwt:
         with pytest.raises(DataError, match="levels"):
             dwt_db4(np.zeros(8), 4)
 
+    @pytest.mark.parametrize("shape", [(), (2, 3, 64)])
+    def test_rank_other_than_one_or_two_rejected(self, shape):
+        with pytest.raises(DataError, match="1-D.*2-D"):
+            dwt_db4(np.zeros(shape), 1)
+
+    def test_length_checks_apply_to_last_axis(self):
+        with pytest.raises(DataError, match="shorter"):
+            dwt_db4(np.zeros((12, 4)), 1)
+        with pytest.raises(DataError, match="levels"):
+            dwt_db4(np.zeros((12, 8)), 4)
+        assert dwt_db4(np.zeros((3, 8)), 3).approx.shape == (3, 7)
+
 
 class TestIdwt:
     @pytest.mark.parametrize("n", [64, 128, 250, 256])
@@ -129,6 +226,18 @@ class TestIdwt:
         with pytest.raises(DataError, match="length"):
             idwt_db4(coeffs)
 
+    def test_rank_other_than_one_or_two_rejected(self):
+        coeffs = dwt_db4(np.zeros((3, 64)), 2)
+        coeffs.approx = coeffs.approx[None]
+        with pytest.raises(DataError, match="1-D.*2-D"):
+            idwt_db4(coeffs)
+
+    def test_rows_of_bands_must_agree(self):
+        coeffs = dwt_db4(np.zeros((3, 64)), 2)
+        coeffs.details[1] = coeffs.details[1][:2]
+        with pytest.raises(DataError, match="detail band 1 has shape"):
+            idwt_db4(coeffs)
+
 
 class TestSoftThreshold:
     @pytest.mark.parametrize(
@@ -140,6 +249,18 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             soft_threshold(np.array([1.0]), -0.5)
+
+    def test_negative_row_threshold_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(np.ones((3, 5)), np.array([0.5, -1e-300, 2.0]))
+
+    def test_row_thresholds_must_match_rows(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            soft_threshold(np.ones(5), np.array([0.5, 1.0]))
+
+    def test_one_threshold_per_row(self):
+        out = soft_threshold(np.full((2, 3), 5.0), np.array([1.0, 4.0]))
+        np.testing.assert_array_equal(out, [[4.0] * 3, [1.0] * 3])
 
     def test_energy_nonincreasing_in_threshold(self):
         d = np.random.default_rng(3).normal(size=200)
@@ -155,6 +276,17 @@ class TestComputeThreshold:
 
     def test_zero_band_gives_zero(self):
         assert compute_threshold(np.zeros(30), 1000) == 0.0
+
+    def test_two_d_band_gives_one_threshold_per_row(self):
+        band = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
+        t = compute_threshold(band, 250)
+        assert t.shape == (2,) and t[1] == 0.0
+        assert t[0] == compute_threshold(band[0], 250)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 5)])
+    def test_empty_band_rejected(self, shape):
+        with pytest.raises(ValueError, match="empty"):
+            compute_threshold(np.zeros(shape), 250)
 
     def test_unit_normal_monte_carlo(self):
         # MAD/0.6745 estimates sigma=1, so t should sit near sqrt(2 ln 1000)
@@ -240,3 +372,50 @@ class TestTruncateAndRecord:
             RawEcg(leads=np.zeros((12, 999)), record_id="bad")
         with pytest.raises(DataError, match="non-finite"):
             RawEcg(leads=np.full((12, 1000), np.inf), record_id="bad")
+
+
+class TestPerLeadOracle:
+    """Row blocks give bitwise what the per-lead np.convolve pipeline gives."""
+
+    def test_preprocess_record_matches_per_lead_oracle(self):
+        count = 0
+        for tag, leads in oracle_corpus():
+            clean = preprocess_record(RawEcg(leads=leads, record_id=tag)).leads
+            assert np.array_equal(clean, lead_preprocess(leads)), tag
+            count += 1
+        assert count == 623
+
+    @pytest.mark.parametrize("n", [64, 101, 128, 250, 256])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_row_wise_functions_match_per_row_loop(self, n, levels):
+        rng = np.random.default_rng(1000 * n + levels)
+        x = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=(5, n)) + rng.normal()
+        coeffs = dwt_db4(x, levels)
+        per_row = [dwt_db4(row, levels) for row in x]
+        assert np.array_equal(coeffs.approx, np.stack([c.approx for c in per_row]))
+        for level, band in enumerate(coeffs.details):
+            assert np.array_equal(band, np.stack([c.details[level] for c in per_row]))
+        assert np.array_equal(idwt_db4(coeffs), np.stack([idwt_db4(c) for c in per_row]))
+        t = compute_threshold(coeffs.details[-1], n)
+        assert np.array_equal(t, [compute_threshold(c.details[-1], n) for c in per_row])
+        assert np.array_equal(
+            soft_threshold(coeffs.details[0], t),
+            np.stack([soft_threshold(c.details[0], tr) for c, tr in zip(per_row, t)]),
+        )
+        assert np.array_equal(denoise(x), np.stack([denoise(row) for row in x]))
+        assert np.array_equal(standardize(x), np.stack([standardize(row) for row in x]))
+
+    @pytest.mark.parametrize("n", [64, 101, 128, 250, 256])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_one_lead_matches_per_lead_oracle(self, n, levels):
+        x = np.random.default_rng(n + 10 * levels).normal(size=n)
+        coeffs = dwt_db4(x, levels)
+        approx, details = lead_dwt(x, levels)
+        assert np.array_equal(coeffs.approx, approx)
+        assert all(np.array_equal(a, b) for a, b in zip(coeffs.details, details, strict=True))
+        assert np.array_equal(idwt_db4(coeffs), lead_idwt(approx, details, n))
+        t = compute_threshold(details[0], n)
+        assert isinstance(t, float) and t == lead_threshold(details[0], n)
+        assert np.array_equal(soft_threshold(details[0], t), lead_soft(details[0], t))
+        assert np.array_equal(denoise(x), lead_denoise(x))
+        assert np.array_equal(standardize(x), lead_standardize(x))
