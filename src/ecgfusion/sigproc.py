@@ -200,6 +200,17 @@ def soft_threshold(coeffs: np.ndarray, t) -> np.ndarray:
     return np.sign(c) * np.maximum(np.abs(c) - t[..., None], 0.0)
 
 
+def _median(a: np.ndarray) -> np.ndarray:
+    """np.median along the last axis, bitwise equal to it: the middle
+    value of each sorted row, or the mean of the middle two; NaN where a
+    row holds one.  np.median's first call imports numpy.ma, which adds
+    15-35 ms to the first record a fresh process cleans."""
+    s = np.sort(a, axis=-1)
+    h = s.shape[-1] // 2
+    mid = s[..., h] if s.shape[-1] % 2 else (s[..., h - 1] + s[..., h]) / 2.0
+    return np.where(np.isnan(s[..., -1]), np.nan, mid)
+
+
 def compute_threshold(finest_details: np.ndarray, n: int) -> float | np.ndarray:
     """Universal threshold with the median-absolute-deviation noise
     estimate: (median|d| / 0.6745) * sqrt(2 ln n).  A 2-D band gives one
@@ -207,7 +218,7 @@ def compute_threshold(finest_details: np.ndarray, n: int) -> float | np.ndarray:
     d = np.asarray(finest_details, dtype=np.float64)
     if d.size == 0:
         raise ValueError("cannot estimate a threshold from an empty band")
-    sigma = np.median(np.abs(d), axis=-1) / 0.6745
+    sigma = _median(np.abs(d)) / 0.6745
     t = sigma * math.sqrt(2.0 * math.log(n))
     return float(t) if d.ndim == 1 else t
 

@@ -7,6 +7,10 @@ against the per-lead ``np.pad`` + ``np.convolve`` pipeline it replaced.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,36 @@ class TestComputeThreshold:
         t_small = compute_threshold(0.5 * base, 250)
         t_large = compute_threshold(2.0 * base, 250)
         assert t_large > t_small
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 65, 128, 131])
+    def test_median_bitwise_equal_to_np_median(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-300, 1e-6, 1.0, 1e6, 1e300):
+            band = np.abs(rng.normal(size=(5, n))) * scale
+            band[1] = np.round(band[1] / scale) * scale  # ties
+            band[2] = 0.0
+            assert np.array_equal(sigproc._median(band), np.median(band, axis=-1))
+            assert np.array_equal(sigproc._median(band[0]), np.median(band[0]))
+
+    def test_median_is_nan_for_a_row_holding_nan(self):
+        band = np.ones((3, 6))
+        band[1, 2] = np.nan
+        assert np.array_equal(sigproc._median(band), np.median(band, axis=-1), equal_nan=True)
+
+    def test_cleaning_a_record_leaves_numpy_ma_unimported(self):
+        # np.median's first call imports numpy.ma, a one-off cost in the
+        # first record a fresh process cleans
+        code = (
+            "import sys, numpy as np\n"
+            "from ecgfusion import sigproc\n"
+            "raw = sigproc.RawEcg(np.random.default_rng(0).normal(size=(12, 1000)), 'r')\n"
+            "sigproc.preprocess_record(raw)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sigproc.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDenoise:
