@@ -132,7 +132,3 @@ def export_heatmap(h: HeatmapMatrix, base_path) -> None:
     with open(base.with_suffix(".pgm"), "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
         fh.write(gray.tobytes())
-
-
-def read_heatmap_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)

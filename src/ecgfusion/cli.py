@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -236,6 +237,10 @@ def cmd_train(args) -> int:
     model.params = best_params
 
     extra = {key: run[key] for key in CHECKPOINT_EXTRAS}
+    # absolute, so evaluate finds the data from any directory
+    for key in ("manifest", "embeddings"):
+        if extra[key]:
+            extra[key] = os.path.abspath(extra[key])
     save_checkpoint(out_dir / "checkpoint.bin", model_cfg, best_params, extra)
     training.write_history(out_dir / "history.csv", history)
     best = history[best_epoch - 1]

@@ -97,103 +97,94 @@ class ModelConfig:
 # parameters
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def _linear_specs(name, d_in, d_out):
+    return [(f"{name}.w", (d_in, d_out), (d_in, d_out)), (f"{name}.b", (d_out,), 0.0)]
 
 
-def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
-
-
-def _init_linear(params, rng, name, d_in, d_out):
-    params[f"{name}.w"] = _uniform_init(rng, (d_in, d_out), d_in, d_out)
-    params[f"{name}.b"] = _zeros(d_out)
-
-
-def _init_attention(params, rng, name, d):
-    for part in ("wq", "wk", "wv", "wo"):
-        params[f"{name}.{part}"] = _uniform_init(rng, (d, d), d, d)
+def _attention_specs(name, d):
     # no key bias: a uniform shift of every key moves each score row by a
     # constant, which softmax ignores, so that bias would never train
-    for part in ("bq", "bv", "bo"):
-        params[f"{name}.{part}"] = _zeros(d)
+    weights = [(f"{name}.{part}", (d, d), (d, d)) for part in ("wq", "wk", "wv", "wo")]
+    return weights + [(f"{name}.{part}", (d,), 0.0) for part in ("bq", "bv", "bo")]
 
 
-def _init_layernorm(params, name, d):
-    params[f"{name}.g"] = _ones(d)
-    params[f"{name}.b"] = _zeros(d)
+def _layernorm_specs(name, d):
+    return [(f"{name}.g", (d,), 1.0), (f"{name}.b", (d,), 0.0)]
 
 
-def _init_encoder_layer(params, rng, name, d, ff):
-    _init_attention(params, rng, f"{name}.attn", d)
-    _init_linear(params, rng, f"{name}.ff1", d, ff)
-    _init_linear(params, rng, f"{name}.ff2", ff, d)
-    _init_layernorm(params, f"{name}.ln1", d)
-    _init_layernorm(params, f"{name}.ln2", d)
+def _layer_specs(name, d, ff, attentions=("attn",), norms=("ln1", "ln2")):
+    """One encoder layer, or a decoder layer given its attentions and norms."""
+    s = [spec for a in attentions for spec in _attention_specs(f"{name}.{a}", d)]
+    s += _linear_specs(f"{name}.ff1", d, ff) + _linear_specs(f"{name}.ff2", ff, d)
+    return s + [spec for ln in norms for spec in _layernorm_specs(f"{name}.{ln}", d)]
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """All learnable tensors for the given configuration, keyed by name.
+def param_specs(config: ModelConfig) -> list[tuple]:
+    """(name, shape, init) for every learnable tensor, in drawing order.
 
-    Weight matrices and kernels start uniform in +-sqrt(6/(fan_in+fan_out)),
-    biases at zero, layer-norm gains at one.
+    ``init`` is (fan_in, fan_out) for a uniform draw in
+    +-sqrt(6/(fan_in+fan_out)), which weight matrices and kernels take, or
+    the constant the tensor starts at: zero for biases, one for layer-norm
+    gains, 0.5 for the early-sum weights.
     """
-    p: dict[str, Tensor] = {}
+    s = []
     d, ff = config.d_model, config.feedforward_dim
 
     if config.per_lead_encoders:
         pd = config.per_lead_dim
         for lead in range(config.n_leads):
-            _init_linear(p, rng, f"lead{lead}.token", 1, pd)
+            s += _linear_specs(f"lead{lead}.token", 1, pd)
             for i in range(config.n_encoder_layers):
-                _init_encoder_layer(p, rng, f"lead{lead}.enc{i}", pd, 4 * pd)
-        p["mv.wo"] = _uniform_init(rng, (d, d), d, d)
-        p["mv.bo"] = _zeros(d)
+                s += _layer_specs(f"lead{lead}.enc{i}", pd, 4 * pd)
+        s += [("mv.wo", (d, d), (d, d)), ("mv.bo", (d,), 0.0)]
     else:
-        kernel_shape = (1, 1, config.n_leads, 1)
-        p["condense.kernel"] = _uniform_init(rng, kernel_shape, config.n_leads, config.n_leads)
-        p["condense.bias"] = _zeros(1)
-        _init_linear(p, rng, "token", 1, d)
+        n = config.n_leads
+        s += [("condense.kernel", (1, 1, n, 1), (n, n)), ("condense.bias", (1,), 0.0)]
+        s += _linear_specs("token", 1, d)
         for i in range(config.n_encoder_layers):
-            _init_encoder_layer(p, rng, f"enc{i}", d, ff)
+            s += _layer_specs(f"enc{i}", d, ff)
 
     if config.fusion_mode != "waveform_only":
-        _init_linear(p, rng, "notes", config.notes_dim, d)
+        s += _linear_specs("notes", config.notes_dim, d)
 
     if config.fusion_mode in ("cross_attention", "waveform_only"):
         for i in range(config.n_decoder_layers):
-            _init_attention(p, rng, f"dec{i}.self", d)
-            _init_attention(p, rng, f"dec{i}.cross", d)
-            _init_linear(p, rng, f"dec{i}.ff1", d, ff)
-            _init_linear(p, rng, f"dec{i}.ff2", ff, d)
-            _init_layernorm(p, f"dec{i}.ln1", d)
-            _init_layernorm(p, f"dec{i}.ln2", d)
-            _init_layernorm(p, f"dec{i}.ln3", d)
+            s += _layer_specs(f"dec{i}", d, ff, ("self", "cross"), ("ln1", "ln2", "ln3"))
     elif config.fusion_mode == "early_concat":
-        _init_linear(p, rng, "fuse", 2 * d, d)
+        s += _linear_specs("fuse", 2 * d, d)
     elif config.fusion_mode == "early_sum":
-        p["fuse.alpha"] = Tensor(np.array([0.5]), requires_grad=True)
-        p["fuse.beta"] = Tensor(np.array([0.5]), requires_grad=True)
+        s += [("fuse.alpha", (1,), 0.5), ("fuse.beta", (1,), 0.5)]
 
-    _init_linear(p, rng, "merge", config.n_leads, d)
-    _init_layernorm(p, "merge.ln", d)
+    s += _linear_specs("merge", config.n_leads, d)
+    s += _layernorm_specs("merge.ln", d)
 
     c_in = 1
     for idx, c_out in enumerate(CLS_CHANNELS, start=1):
-        p[f"cls.conv{idx}.k"] = _uniform_init(
-            rng, (c_out, c_in, 3, 3), c_in * 9, c_out * 9
-        )
-        p[f"cls.conv{idx}.b"] = _zeros(c_out)
+        s += [(f"cls.conv{idx}.k", (c_out, c_in, 3, 3), (c_in * 9, c_out * 9))]
+        s += [(f"cls.conv{idx}.b", (c_out,), 0.0)]
         c_in = c_out
     dims = (config.classifier_flat_dim(), *CLS_HIDDEN, config.n_classes)
     for idx in range(3):
-        _init_linear(p, rng, f"cls.fc{idx + 1}", dims[idx], dims[idx + 1])
-    return p
+        s += _linear_specs(f"cls.fc{idx + 1}", dims[idx], dims[idx + 1])
+    return s
+
+
+def _draw(specs, rng: np.random.Generator) -> dict[str, Tensor]:
+    params = {}
+    for name, shape, init in specs:
+        if isinstance(init, tuple):
+            bound = np.sqrt(6.0 / sum(init))
+            values = rng.uniform(-bound, bound, size=shape)
+        else:
+            values = np.full(shape, init)
+        params[name] = Tensor(values, requires_grad=True)
+    return params
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """All learnable tensors for the given configuration, keyed by name
+    and drawn from ``rng`` in ``param_specs`` order."""
+    return _draw(param_specs(config), rng)
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:
@@ -579,7 +570,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, Tensor], dict]:
             if not np.isfinite(values).all():
                 raise DataError(f"{path}: parameter {name!r} holds a NaN or Inf")
             params[name] = Tensor(values.copy(), requires_grad=True)
-    expected = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
+    expected = {name: shape for name, shape, _ in param_specs(config)}
     got = {k: v.shape for k, v in params.items()}
     if expected != got:
         missing = sorted(set(expected) - set(got))

@@ -12,7 +12,6 @@ from ecgfusion.analysis import (
     head_pool_similarity,
     per_lead_head_summary,
     pool_heads,
-    read_heatmap_csv,
 )
 from ecgfusion.data import LoadedRecord
 from ecgfusion.model import EcgTransformer, ModelConfig
@@ -181,7 +180,7 @@ class TestExportHeatmap:
         rng = np.random.default_rng(8)
         values = rng.normal(size=(12, 250))
         export_heatmap(HeatmapMatrix(values=values, record_id="r", layer_index=0), tmp_path / "hm")
-        back = read_heatmap_csv(tmp_path / "hm.csv")
+        back = np.loadtxt(tmp_path / "hm.csv", delimiter=",", ndmin=2)
         np.testing.assert_allclose(back, values, atol=5e-7)
 
     def test_deterministic_bytes(self, tmp_path):

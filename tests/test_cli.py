@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -319,6 +320,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and key.split(".")[-1] in err
 
+    def test_relative_paths_evaluate_from_another_directory(self, workspace, tmp_path, monkeypatch, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        shutil.copytree(workspace / "cur", a / "cur")
+        shutil.copy(workspace / "raw" / "embeddings.bin", a / "embeddings.bin")
+        b.mkdir()
+        monkeypatch.chdir(a)
+        args = ["--manifest", "cur/manifest.csv", "--embeddings", "embeddings.bin", "--out", "run"]
+        assert main(["train", *args, "--seed", "4", *TINY_FLAGS]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", "run/checkpoint.bin", "--split", "test"]) == 0
+        from_a = capsys.readouterr().out
+        monkeypatch.chdir(b)
+        assert main(["evaluate", "--checkpoint", "../a/run/checkpoint.bin", "--split", "test"]) == 0
+        assert capsys.readouterr().out == from_a
+        assert "loss" in from_a
+
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         rc = main(["evaluate", "--checkpoint", str(tmp_path / "none.bin"), "--split", "val"])
         assert rc == 1
@@ -437,6 +454,21 @@ class TestCorruptCheckpoint:
         err = self.predict(workspace, bad, capsys)
         assert len(err.splitlines()) == 1
         assert "'enc0.ff1.w' has shape (8, 32), config expects (8, 16)" in err
+
+    @pytest.mark.parametrize("change", ["missing", "unexpected"])
+    def test_parameter_set_differs_from_config(self, change, workspace, tmp_path, capsys):
+        config, params, extra = load_checkpoint(workspace / "run" / "checkpoint.bin")
+        if change == "missing":
+            name = "merge.b"
+            del params[name]
+        else:
+            name = "merge.extra"
+            params[name] = params["merge.b"]
+        bad = tmp_path / "bad.bin"
+        save_checkpoint(bad, config, params, extra)
+        err = self.predict(workspace, bad, capsys)
+        assert len(err.splitlines()) == 1
+        assert f"{change} [{name!r}]" in err
 
     def test_cut_at_every_field(self, workspace, tmp_path, capsys):
         blob = (workspace / "run" / "checkpoint.bin").read_bytes()

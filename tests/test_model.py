@@ -1,6 +1,7 @@
 """Tests for the multimodal transformer blocks, fusion modes, per-lead
 variant, and checkpoint format."""
 
+import hashlib
 import time
 import tracemalloc
 from dataclasses import fields
@@ -127,9 +128,7 @@ class TestPositionalEncoding:
 
 class TestMultiHeadAttention:
     def attn_params(self, d, seed=0):
-        params = {}
-        M._init_attention(params, np.random.default_rng(seed), "mha", d)
-        return params
+        return M._draw(M._attention_specs("mha", d), np.random.default_rng(seed))
 
     def test_single_token_weight_is_one(self):
         d = 6
@@ -396,6 +395,65 @@ class TestPerLeadVariant:
             return time.perf_counter() - t0
 
         assert clock(perlead, p_lead) >= clock(fused, p_fused)
+
+
+# the acceptance-test config; per-lead needs one head per lead and a
+# d_model that splits over the 12 leads
+ACCEPTANCE = dict(
+    d_model=16, n_heads=2, n_encoder_layers=1, n_decoder_layers=1, feedforward_dim=32, dropout=0.1
+)
+ACCEPTANCE_PER_LEAD = dict(ACCEPTANCE, d_model=24, n_heads=12)
+
+# sha256 over the names, shapes and <f8 bytes of
+# init_params(config, default_rng(0)), taken before init_params drew from
+# param_specs: every parameter keeps its name, order and value
+INIT_DIGESTS = {
+    ("acceptance", "cross_attention", False): "d60704b789a82dba3307b44407fcb4aeea811bcbc9ba71ea54f530884c12e1ee",
+    ("acceptance", "early_concat", False): "f3fefc8e7eb9b41209ba7880b26ffa8baf97e777625d0dbde30bc9bfe78db29d",
+    ("acceptance", "early_sum", False): "f2a229da409f39141b37adcee17deca61fb3412e19cc24dc473600481cd161c2",
+    ("acceptance", "waveform_only", False): "5120631b893069dd0876640cb13f81731a8d7d7236851ac24d677b01b5211c97",
+    ("acceptance", "cross_attention", True): "aa3b46485c53542db3d6c391b571156b6abf61bf7024bd736a2db8c3c5df0886",
+    ("acceptance", "early_concat", True): "b016b9383829098a43a62fe9c0d0d8bbc8b083fcd9bebeae893869bdd934037d",
+    ("acceptance", "early_sum", True): "c5dba659de2d1a4646bc742dacb8c5e743f325b4a699b71a56b9e3f1340e07db",
+    ("acceptance", "waveform_only", True): "e36eeb446bda34f150b75f4c2ea95ad0db287211ce89c4ecd1142a080fa6525b",
+    ("published", "cross_attention", False): "3883665b0bcb9c7ce272e15988756c11bb1b4470bb88f6ab46c43569ce03f9d5",
+    ("published", "early_concat", False): "7ab2b06ee1c62f4cc8da6425c5fcc2c9e142490e5907b1701551f380fa82af2b",
+    ("published", "early_sum", False): "ab39b209a1892a844f1bdba90d6719995cf404ed7d9aaac8deb56a9506074d85",
+    ("published", "waveform_only", False): "d922d7b74bcf40075ca2b31104b3811a6a8896704220b2b3f2d22edd73bd2ae4",
+    ("published", "cross_attention", True): "e213866dac9d77f62fc56c2ee2584be1b5d47f408732da7eb21d41b43f40917e",
+    ("published", "early_concat", True): "1e1f0f98a4a8b4674bd62a0f03d59bb064d4780c5b7d59f0ef4f96a475946c90",
+    ("published", "early_sum", True): "8c379288e3e52d2dba928208f14f59189bf28e25d1ea6f4d4980b3d49811d23d",
+    ("published", "waveform_only", True): "7c03e93652795c65766b4f1263b9e7f72561b32e5a6615fc12d4b837800f042d",
+}
+
+
+class TestParamSpecs:
+    @pytest.mark.parametrize("size,mode,per_lead", list(INIT_DIGESTS))
+    def test_init_params_digest(self, size, mode, per_lead):
+        if size == "published":
+            kw = TABLE1
+        else:
+            kw = ACCEPTANCE_PER_LEAD if per_lead else ACCEPTANCE
+        cfg = ModelConfig(**kw, fusion_mode=mode, per_lead_encoders=per_lead)
+        h = hashlib.sha256()
+        for name, t in init_params(cfg, np.random.default_rng(0)).items():
+            h.update(f"{name}{t.data.shape}".encode())
+            h.update(t.data.astype("<f8").tobytes())
+        assert h.hexdigest() == INIT_DIGESTS[size, mode, per_lead]
+
+    def test_load_checkpoint_draws_nothing(self, tmp_path, monkeypatch):
+        cfg = small_config()
+        params = init_params(cfg, np.random.default_rng(3))
+        save_checkpoint(tmp_path / "m.bin", cfg, params)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a parameter set")
+
+        monkeypatch.setattr(M, "init_params", refuse)
+        _, loaded, _ = load_checkpoint(tmp_path / "m.bin")
+        assert list(loaded) == sorted(params)
+        for name, t in params.items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
 
 
 class TestCheckpoint:
